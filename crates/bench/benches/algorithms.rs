@@ -284,72 +284,11 @@ fn bench_dp_scan(_c: &mut Criterion) {
     }
 }
 
-/// The hot path the `parallel` feature targets: many heterogeneous groups
-/// with high repetition counts, where the numerical integrations behind the
-/// expected-latency tables dominate the solve. Compare
-/// `cargo bench -p crowdtune-bench --bench algorithms -- parallel_hot_path`
-/// against the same command with `--features parallel` to see the speedup
-/// from fanning the integrations over all cores. On a single-core machine
-/// the parallel build intentionally degrades to the lazy path (the fan-out
-/// would be pure overhead), so both variants report the same numbers there —
-/// the printed core count says which regime you measured.
-fn bench_parallel_hot_path(c: &mut Criterion) {
-    if quick_mode() {
-        println!("parallel_hot_path: skipped in quick mode");
-        return;
-    }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!(
-        "parallel_hot_path: feature {} on {cores} core(s)",
-        if cfg!(feature = "parallel") {
-            "ON"
-        } else {
-            "OFF"
-        }
-    );
-    let mut group = c.benchmark_group(if cfg!(feature = "parallel") {
-        "parallel_hot_path/threads"
-    } else {
-        "parallel_hot_path/serial"
-    });
-    group.sample_size(10);
-    for &budget in &[4_000u64, 8_000] {
-        // 20 heterogeneous groups: 10 types × 2 high-repetition classes, so
-        // each table entry is an expensive expected-max-Erlang quadrature.
-        let mut set = TaskSet::new();
-        for t in 0..10 {
-            let ty = set
-                .add_type(format!("type{t}"), 0.5 + t as f64 * 0.25)
-                .unwrap();
-            set.add_tasks(ty, 8, 10).unwrap();
-            set.add_tasks(ty, 12, 10).unwrap();
-        }
-        let problem = HTuningProblem::new(
-            set,
-            Budget::units(budget),
-            Arc::new(LinearRate::unit_slope()),
-        )
-        .unwrap();
-        group.bench_with_input(
-            BenchmarkId::new("budget", budget),
-            &problem,
-            |b, problem| {
-                let strategy = HeterogeneousAlgorithm::new();
-                b.iter(|| strategy.tune(problem).unwrap());
-            },
-        );
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_even_allocation,
     bench_repetition_algorithm,
     bench_heterogeneous_algorithm,
-    bench_dp_scan,
-    bench_parallel_hot_path
+    bench_dp_scan
 );
 criterion_main!(benches);

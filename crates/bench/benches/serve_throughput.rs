@@ -3,8 +3,7 @@
 //! (repetitive) tenant traffic, and the latency improvement delivered by
 //! online re-tuning on a drifting market.
 //!
-//! Run with: `cargo bench -p crowdtune-bench --bench serve_throughput`
-//! (add `--features parallel` to also multi-thread the DP latency tables).
+//! Run with: `cargo bench -p crowdtune-bench --bench serve_throughput`.
 
 use crowdtune_bench::{compare_tune_once_vs_retuned, DriftScenario};
 use crowdtune_core::money::Budget;

@@ -14,12 +14,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Cap on the per-repetition payments the latency tables are pre-sized (and,
-/// under the `parallel` feature, pre-computed) for. Payments beyond the cap
-/// still work — the cache falls back to lazy evaluation — the cap only bounds
-/// up-front memory and precompute fan-out. Shared by RA, HA and
-/// `GroupLatencyCache::precompute` (a `parallel`-feature item) so the sizing
-/// hint and the parallel fill can never drift apart.
+/// Cap on the per-repetition payments the shared latency tables are sized
+/// for. Payments beyond the cap still work — the cache falls back to a
+/// private lazy map — the cap only bounds each table's memory.
 pub const MAX_TABLE_PAYMENT: u64 = 4096;
 
 /// Distributes `total` indivisible units over `slots` slots as evenly as
@@ -262,7 +259,7 @@ impl LatencyTableStore {
 /// [`MAX_TABLE_PAYMENT`] live in the process-wide [`LatencyTableStore`], so
 /// the integrations are also shared *across* jobs and worker threads;
 /// payments beyond the cap fall back to a private lazy map. All methods take
-/// `&self` — the cache is `Sync` and can back concurrent DP scans directly.
+/// `&self`, so objective closures can share one cache.
 pub struct GroupLatencyCache<'a, M: RateModel + ?Sized> {
     rate_model: &'a M,
     groups: &'a [TaskGroup],
@@ -340,69 +337,6 @@ impl<'a, M: RateModel + ?Sized> GroupLatencyCache<'a, M> {
     pub fn groups(&self) -> &[TaskGroup] {
         self.groups
     }
-
-    /// Bulk-fills the memo tables for every `(group, payment)` pair the
-    /// marginal DP over `unit_costs` and `extra_budget` can reach, fanning
-    /// the numerical integrations out over all available cores with scoped
-    /// threads. The DP itself then runs against warm tables and does no
-    /// integration on its critical path. Entries another job already filled
-    /// through the shared store are skipped.
-    ///
-    /// Only available with the `parallel` feature; without it the cache fills
-    /// lazily (and only for the pairs the DP actually visits).
-    #[cfg(feature = "parallel")]
-    pub fn precompute(&self, unit_costs: &[u64], extra_budget: u64) -> Result<()> {
-        // Fanning out only pays when there are cores to fan out to: on a
-        // single core the lazy path is strictly better (it integrates only
-        // the pairs the DP actually visits), so bow out early.
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if threads <= 1 {
-            return Ok(());
-        }
-        // Payments are capped at the shared-table bound; anything beyond
-        // falls back to the lazy path.
-        let mut jobs: Vec<(usize, u64)> = Vec::new();
-        for (index, &unit_cost) in unit_costs.iter().enumerate().take(self.groups.len()) {
-            if unit_cost == 0 {
-                return Err(CoreError::invalid_argument(
-                    "group unit-increment costs must be positive".to_owned(),
-                ));
-            }
-            let max_payment = (1 + extra_budget / unit_cost).min(MAX_TABLE_PAYMENT);
-            let table = &self.tables[index];
-            for payment in 1..=max_payment {
-                if table.get(payment).is_none() {
-                    jobs.push((index, payment));
-                }
-            }
-        }
-        if jobs.is_empty() {
-            return Ok(());
-        }
-
-        let threads = threads.min(jobs.len());
-        let chunk_size = jobs.len().div_ceil(threads);
-
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = jobs
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move || -> Result<()> {
-                        for &(index, payment) in chunk {
-                            let value = self.compute(index, payment)?;
-                            self.tables[index].store(payment, value);
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .try_for_each(|h| h.join().expect("latency precompute thread panicked"))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -476,38 +410,6 @@ mod tests {
         // groups that do not cover every task are rejected
         let partial = vec![groups[0].clone()];
         assert!(allocation_from_group_payments(&set, &partial, &[2]).is_err());
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_precompute_matches_lazy_evaluation() {
-        let (_, groups) = two_group_set();
-        // A model no other test shares, so the interned tables start cold and
-        // the precompute does real work.
-        let model = LinearRate::new(3.0, 2.71).unwrap();
-        let unit_costs: Vec<u64> = groups.iter().map(|g| g.unit_increment_cost()).collect();
-        let extra_budget = 200u64;
-
-        let warm = GroupLatencyCache::new(&model, &groups);
-        warm.precompute(&unit_costs, extra_budget).unwrap();
-        // The lazy comparison must not read the tables `warm` just filled:
-        // compute the ground truth directly from the integration primitive.
-        for (index, &unit_cost) in unit_costs.iter().enumerate() {
-            for payment in 1..=(1 + extra_budget / unit_cost) {
-                let group = &groups[index];
-                let expected = crate::latency::group_phase1_expected(
-                    group.size() as u64,
-                    group.repetitions,
-                    model.on_hold_rate(payment as f64),
-                )
-                .unwrap();
-                let cached = warm.phase1(index, payment).unwrap();
-                assert!(
-                    cached.to_bits() == expected.to_bits(),
-                    "group {index} payment {payment}: {cached} != {expected}"
-                );
-            }
-        }
     }
 
     #[test]

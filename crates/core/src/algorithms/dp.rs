@@ -54,23 +54,16 @@ pub struct DpOutcome {
 ///   repetition of every group;
 /// * `objective` — evaluates a candidate per-group payment vector; the DP
 ///   minimises this value. The closure may memoize internally (behind `&self`
-///   interior mutability — it must be `Fn + Sync`); it is called `O(n · B')`
-///   times. For objectives of the form `Σ_i f_i(p_i)` use
-///   [`marginal_budget_dp_separable`], which is `O(1)` per candidate.
-///
-/// With the `parallel` feature, levels whose candidate fan-out is at least
-/// `PARALLEL_SCAN_MIN_CANDIDATES` evaluate their candidates on all
-/// available cores (scoped threads, chunked by group); on a single core, or
-/// below the threshold, the scan stays sequential. Either way the reduction
-/// over candidates runs in group order, so plans are bit-identical to the
-/// sequential scan.
+///   interior mutability); it is called `O(n · B')` times. For objectives of
+///   the form `Σ_i f_i(p_i)` use [`marginal_budget_dp_separable`], which is
+///   `O(1)` per candidate.
 pub fn marginal_budget_dp<F>(
     unit_costs: &[u64],
     extra_budget: u64,
     objective: F,
 ) -> Result<DpOutcome>
 where
-    F: Fn(&[u64]) -> Result<f64> + Sync,
+    F: Fn(&[u64]) -> Result<f64>,
 {
     let table = DpTable::build(unit_costs, extra_budget, objective)?;
     table.outcome_at(extra_budget)
@@ -101,15 +94,6 @@ where
 /// Decision marker: the level was formed by carrying the previous level
 /// unchanged (any other value is the index of the incremented group).
 const CARRY: u32 = u32::MAX;
-
-/// Minimum number of affordable candidates per level before the closure-path
-/// scan fans out over threads (with the `parallel` feature). One
-/// `thread::scope` costs tens of microseconds per level, so the fan-out only
-/// pays when a level evaluates many candidates — i.e. problems with many
-/// groups, where each non-separable objective evaluation is itself `O(n)`
-/// (or integration-backed when the latency tables are cold).
-#[cfg(feature = "parallel")]
-pub const PARALLEL_SCAN_MIN_CANDIDATES: usize = 32;
 
 /// Per-level DP state: how the level's best plan was formed, its objective
 /// value and its actual spend. One of these per budget level is all the
@@ -166,7 +150,7 @@ impl DpTable {
     /// closure. See [`marginal_budget_dp`].
     pub fn build<F>(unit_costs: &[u64], extra_budget: u64, objective: F) -> Result<Self>
     where
-        F: Fn(&[u64]) -> Result<f64> + Sync,
+        F: Fn(&[u64]) -> Result<f64>,
     {
         let mut table = Self::with_base(unit_costs, |base| objective(base))?;
         table.extend_to(extra_budget, objective)?;
@@ -281,17 +265,9 @@ impl DpTable {
     /// functions and corrupt every level from the extension point on. Debug
     /// builds re-evaluate the base state and panic when the value does not
     /// match the one recorded at build time.
-    ///
-    /// With the `parallel` feature, candidate evaluations fan out over a
-    /// pool of worker threads spawned **once per extension** (fed per level
-    /// over channels — no per-level thread spawns) when the group count
-    /// reaches `PARALLEL_SCAN_MIN_CANDIDATES` and more than one core is
-    /// available; the winning candidate is still selected by a sequential
-    /// in-group-order reduction, so the chosen plans are bit-identical to
-    /// the sequential scan.
     pub fn extend_to<F>(&mut self, extra_budget: u64, objective: F) -> Result<()>
     where
-        F: Fn(&[u64]) -> Result<f64> + Sync,
+        F: Fn(&[u64]) -> Result<f64>,
     {
         #[cfg(debug_assertions)]
         {
@@ -311,28 +287,6 @@ impl DpTable {
         self.ensure_ring(extra_budget);
         self.levels
             .reserve(extra_budget as usize + 1 - self.levels.len());
-        #[cfg(feature = "parallel")]
-        {
-            let threads = std::thread::available_parallelism()
-                .map(|t| t.get())
-                .unwrap_or(1);
-            if threads > 1 && self.unit_costs.len() >= PARALLEL_SCAN_MIN_CANDIDATES {
-                return self.extend_levels_parallel(start, extra_budget, threads, &objective);
-            }
-        }
-        self.extend_levels_sequential(start, extra_budget, &objective)
-    }
-
-    /// The sequential closure-path scan over levels `start..=extra_budget`.
-    fn extend_levels_sequential<F>(
-        &mut self,
-        start: u64,
-        extra_budget: u64,
-        objective: &F,
-    ) -> Result<()>
-    where
-        F: Fn(&[u64]) -> Result<f64>,
-    {
         let n = self.unit_costs.len();
         let mask = self.ring_rows - 1;
         let mut scratch = vec![0u64; n];
@@ -363,126 +317,6 @@ impl DpTable {
             self.push_level(x, best_decision, best_value, best_spent);
         }
         Ok(())
-    }
-
-    /// The parallel closure-path scan: `threads` persistent workers are
-    /// spawned once and fed candidate batches per level over channels, so
-    /// the per-level overhead is a few channel messages rather than thread
-    /// spawns. The main thread builds each candidate's payment vector (a
-    /// memcpy), workers run the objective evaluations, and the reduction
-    /// sorts results back into ascending group order before folding — the
-    /// exact order the sequential scan visits, so decisions (and therefore
-    /// plans) are bit-identical.
-    #[cfg(feature = "parallel")]
-    fn extend_levels_parallel<F>(
-        &mut self,
-        start: u64,
-        extra_budget: u64,
-        threads: usize,
-        objective: &F,
-    ) -> Result<()>
-    where
-        F: Fn(&[u64]) -> Result<f64> + Sync,
-    {
-        use std::sync::mpsc;
-
-        /// One candidate handed to a worker: group index, its payment
-        /// vector, and the spend it would commit.
-        type Job = (usize, Vec<u64>, u64);
-        /// A worker's verdicts: (group, objective value, spent).
-        type Verdicts = Vec<(usize, Result<f64>, u64)>;
-
-        let n = self.unit_costs.len();
-        let mask = self.ring_rows - 1;
-        std::thread::scope(|scope| -> Result<()> {
-            let (verdict_tx, verdict_rx) = mpsc::channel::<Verdicts>();
-            let job_txs: Vec<mpsc::Sender<Vec<Job>>> = (0..threads)
-                .map(|_| {
-                    let (job_tx, job_rx) = mpsc::channel::<Vec<Job>>();
-                    let verdict_tx = verdict_tx.clone();
-                    scope.spawn(move || {
-                        while let Ok(batch) = job_rx.recv() {
-                            let verdicts: Verdicts = batch
-                                .into_iter()
-                                .map(|(i, payments, spent)| (i, objective(&payments), spent))
-                                .collect();
-                            if verdict_tx.send(verdicts).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                    job_tx
-                })
-                .collect();
-            drop(verdict_tx);
-
-            let mut evaluated: Vec<(usize, f64, u64)> = Vec::with_capacity(n);
-            for x in start..=extra_budget {
-                let carry = self.levels[(x - 1) as usize];
-                let mut best_value = carry.objective;
-                let mut best_spent = carry.spent;
-                let mut best_decision = CARRY;
-
-                let jobs: Vec<Job> = self
-                    .unit_costs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &u)| u <= x)
-                    .map(|(i, &u)| {
-                        let prev = (x - u) as usize;
-                        let row = (prev & mask) * n;
-                        let mut payments = self.ring[row..row + n].to_vec();
-                        payments[i] += 1;
-                        (i, payments, self.levels[prev].spent + u)
-                    })
-                    .collect();
-                let batches = if jobs.is_empty() {
-                    0
-                } else {
-                    let chunk_size = jobs.len().div_ceil(threads);
-                    let mut sent = 0;
-                    let mut rest = jobs;
-                    while !rest.is_empty() {
-                        let tail = rest.split_off(chunk_size.min(rest.len()));
-                        job_txs[sent]
-                            .send(rest)
-                            .expect("parallel DP scan worker died");
-                        rest = tail;
-                        sent += 1;
-                    }
-                    sent
-                };
-                evaluated.clear();
-                let mut failure: Option<CoreError> = None;
-                for _ in 0..batches {
-                    let verdicts = verdict_rx.recv().expect("parallel DP scan worker died");
-                    for (i, value, spent) in verdicts {
-                        match value {
-                            Ok(value) => evaluated.push((i, value, spent)),
-                            Err(err) => failure = Some(failure.take().unwrap_or(err)),
-                        }
-                    }
-                }
-                if let Some(err) = failure {
-                    return Err(err);
-                }
-                // Workers answer out of order; restore group order so ties
-                // break exactly like the sequential scan.
-                evaluated.sort_unstable_by_key(|&(i, _, _)| i);
-                for &(i, value, spent) in &evaluated {
-                    if wins(value, spent, best_value, best_spent) {
-                        best_value = value;
-                        best_spent = spent;
-                        best_decision = i as u32;
-                    }
-                }
-                self.push_level(x, best_decision, best_value, best_spent);
-            }
-            // Dropping the job senders lets the workers drain and exit; the
-            // scope joins them.
-            drop(job_txs);
-            Ok(())
-        })
     }
 
     /// Extends the table to cover budgets up to `extra_budget` for a
@@ -923,7 +757,7 @@ mod tests {
     use super::*;
 
     /// A simple strictly convex separable objective: sum of `c_i / p_i`.
-    fn harmonic_objective(coeffs: &'static [f64]) -> impl Fn(&[u64]) -> Result<f64> + Sync {
+    fn harmonic_objective(coeffs: &'static [f64]) -> impl Fn(&[u64]) -> Result<f64> {
         move |payments: &[u64]| {
             Ok(payments
                 .iter()
@@ -1176,13 +1010,12 @@ mod tests {
         assert!(result.is_err());
     }
 
-    /// With enough groups the closure path fans each level's candidate scan
-    /// out over threads; the result must stay bit-identical to the separable
-    /// path (which is sequential and already pinned to the reference).
-    #[cfg(feature = "parallel")]
+    /// Many groups with mixed unit costs: the closure path must stay
+    /// bit-identical to the separable path (which is pinned to the
+    /// reference), down to the objective bits.
     #[test]
-    fn parallel_candidate_scan_is_bit_identical_to_sequential() {
-        let n = PARALLEL_SCAN_MIN_CANDIDATES + 8;
+    fn closure_scan_is_bit_identical_to_separable_with_many_groups() {
+        let n = 40;
         let unit_costs: Vec<u64> = (0..n).map(|i| 1 + (i as u64 % 5)).collect();
         let coeffs: Vec<f64> = (0..n).map(|i| 0.3 + 0.7 * (i as f64)).collect();
         let budget = 120u64;
@@ -1202,62 +1035,6 @@ mod tests {
         // The closure path sums left-to-right exactly like the separable
         // path's re-anchoring, so even the objective bits agree.
         assert_eq!(closure.objective.to_bits(), separable.objective.to_bits());
-    }
-
-    /// Drives the worker-pool scan directly with forced thread counts —
-    /// including more workers than candidates and single-core boxes where
-    /// the automatic gate would stay sequential — and pins bit-identity to
-    /// the sequential scan at every level.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn forced_parallel_scan_matches_sequential_at_every_level() {
-        let n = 37usize; // deliberately not a multiple of any thread count
-        let unit_costs: Vec<u64> = (0..n).map(|i| 1 + (i as u64 % 7)).collect();
-        let coeffs: Vec<f64> = (0..n).map(|i| 0.2 + 1.3 * (i as f64 % 9.0)).collect();
-        let budget = 90u64;
-        let objective = |payments: &[u64]| -> Result<f64> {
-            Ok(payments
-                .iter()
-                .zip(&coeffs)
-                .map(|(&p, &c)| c / p as f64)
-                .sum())
-        };
-        // Calling the level scanners directly skips `extend_to`'s ring
-        // sizing, so do it here.
-        let mut sequential = DpTable::with_base(&unit_costs, objective).unwrap();
-        sequential.ensure_ring(budget);
-        sequential
-            .extend_levels_sequential(1, budget, &objective)
-            .unwrap();
-        for threads in [2usize, 3, 8, 64] {
-            let mut parallel = DpTable::with_base(&unit_costs, objective).unwrap();
-            parallel.ensure_ring(budget);
-            parallel
-                .extend_levels_parallel(1, budget, threads, &objective)
-                .unwrap();
-            for level in 0..=budget {
-                let s = sequential.outcome_at(level).unwrap();
-                let p = parallel.outcome_at(level).unwrap();
-                assert_eq!(s.payments, p.payments, "threads {threads} level {level}");
-                assert_eq!(
-                    s.objective.to_bits(),
-                    p.objective.to_bits(),
-                    "threads {threads} level {level}"
-                );
-                assert_eq!(s.extra_spent, p.extra_spent);
-            }
-        }
-        // Errors from the objective surface instead of wedging the pool.
-        let failing = |payments: &[u64]| -> Result<f64> {
-            if payments.iter().sum::<u64>() > (n as u64) + 4 {
-                Err(CoreError::invalid_argument("boom".to_owned()))
-            } else {
-                Ok(1.0)
-            }
-        };
-        let mut table = DpTable::with_base(&unit_costs, failing).unwrap();
-        table.ensure_ring(40);
-        assert!(table.extend_levels_parallel(1, 40, 3, &failing).is_err());
     }
 
     /// The persistence surface: a snapshot round trip reproduces every

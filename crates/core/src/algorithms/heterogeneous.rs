@@ -114,12 +114,10 @@ impl HeterogeneousAlgorithm {
 
         let rate_model = problem.rate_model().clone();
         let cache = GroupLatencyCache::new(&rate_model, &groups);
-        #[cfg(feature = "parallel")]
-        cache.precompute(&unit_costs, extra_budget)?;
 
         // Objective O1: sum of expected phase-1 group latencies. The cache
-        // memoizes behind `&self`, so these closures are `Fn + Sync` and the
-        // closure-path DP may fan each level's candidate scan over threads.
+        // memoizes behind `&self`, so both objectives borrow it as `Fn`
+        // closures.
         let o1 = |payments: &[u64]| -> Result<f64> {
             let mut sum = 0.0;
             for (i, &p) in payments.iter().enumerate() {

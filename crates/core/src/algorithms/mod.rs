@@ -30,8 +30,6 @@ pub use common::{
     allocation_from_group_payments, spread_evenly, GroupLatencyCache, LatencyTableStore,
     SharedLatencyTable, MAX_TABLE_PAYMENT,
 };
-#[cfg(feature = "parallel")]
-pub use dp::PARALLEL_SCAN_MIN_CANDIDATES;
 pub use dp::{
     exhaustive_group_search, marginal_budget_dp, marginal_budget_dp_separable, DpOutcome, DpTable,
     DpTableSnapshot,

@@ -70,8 +70,6 @@ impl RepetitionAlgorithm {
         // process-wide interned store.
         let rate_model = problem.rate_model().clone();
         let cache = GroupLatencyCache::new(&rate_model, &groups);
-        #[cfg(feature = "parallel")]
-        cache.precompute(&unit_costs, extra_budget)?;
 
         debug_assert!(LatencyTarget::GroupSumOnHold.is_separable());
         let table = DpTable::build_separable(&unit_costs, extra_budget, |group, payment| {
@@ -115,8 +113,6 @@ impl RepetitionAlgorithm {
         }
         let rate_model = problem.rate_model().clone();
         let cache = GroupLatencyCache::new(&rate_model, &groups);
-        #[cfg(feature = "parallel")]
-        cache.precompute(&unit_costs, extra_budget)?;
         table.extend_to_separable(extra_budget, |group, payment| cache.phase1(group, payment))
     }
 }

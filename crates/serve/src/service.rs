@@ -29,6 +29,7 @@ use crowdtune_obs::{
     ActiveTrace, Counter, Gauge, Histogram, JobTrace, LogLevel, Logger, LoggerConfig, Registry,
     SlowestRing, TraceContext, Tracer, TracerConfig,
 };
+use std::cell::Cell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -175,6 +176,11 @@ pub struct JobHandle {
     /// Service-assigned job id.
     pub job_id: u64,
     receiver: mpsc::Receiver<Result<ServedPlan, ServeError>>,
+    /// Set once [`JobHandle::try_result`] has handed out the outcome, so
+    /// later polls answer `WorkerGone` without consulting the channel — the
+    /// worker may still hold its sender (completion hook, telemetry fold)
+    /// for a while after the send.
+    delivered: Cell<bool>,
 }
 
 /// A completion hook for event-driven front-ends: invoked with the job id
@@ -217,8 +223,14 @@ impl JobHandle {
     /// — a transport front-end polling on behalf of a client must retain it;
     /// a later call reports [`ServeError::WorkerGone`].
     pub fn try_result(&self) -> Option<Result<ServedPlan, ServeError>> {
+        if self.delivered.get() {
+            return Some(Err(ServeError::WorkerGone));
+        }
         match self.receiver.try_recv() {
-            Ok(outcome) => Some(outcome),
+            Ok(outcome) => {
+                self.delivered.set(true);
+                Some(outcome)
+            }
             Err(mpsc::TryRecvError::Empty) => None,
             Err(mpsc::TryRecvError::Disconnected) => Some(Err(ServeError::WorkerGone)),
         }
@@ -246,9 +258,6 @@ pub struct ServiceConfig {
     /// registry itself stay live either way — they are the same cells the
     /// legacy stats snapshots read.
     pub telemetry: bool,
-    /// Completed traces retained by the slowest-trace ring
-    /// (see [`TuningService::slowest_traces`]).
-    pub slowest_capacity: usize,
     /// Whether causal request tracing records span trees (requires
     /// `telemetry`; the effective setting is `telemetry && tracing`). With
     /// tracing on, every job accumulates spans into an [`ActiveTrace`] and
@@ -262,12 +271,6 @@ pub struct ServiceConfig {
     /// logger is always live (its counters are part of the exposition
     /// contract); the level floor and rate limit bound its cost.
     pub logging: LoggerConfig,
-    /// Whether re-tuners built via [`TuningService::retuner`] auto-feed
-    /// their acceptance observations into the service's
-    /// [`MarketRegistry`] drift detector, so confirmed drift on a served
-    /// job's own repetitions becomes registry evidence without manual
-    /// wiring.
-    pub feed_drift_evidence: bool,
 }
 
 impl Default for ServiceConfig {
@@ -281,11 +284,9 @@ impl Default for ServiceConfig {
             cache_capacity_per_shard: 512,
             family_shards: 8,
             telemetry: true,
-            slowest_capacity: 32,
             tracing: true,
             tracing_config: TracerConfig::default(),
             logging: LoggerConfig::default(),
-            feed_drift_evidence: true,
         }
     }
 }
@@ -355,6 +356,10 @@ impl ServiceMetrics {
         );
     }
 }
+
+/// Completed traces retained by the slowest-trace ring
+/// (see [`TuningService::slowest_traces`]).
+const SLOWEST_CAPACITY: usize = 32;
 
 /// Scenario label values, indexed by [`scenario_index`].
 const SCENARIO_LABELS: [&str; 3] = ["EA", "RA", "HA"];
@@ -534,7 +539,7 @@ impl Telemetry {
             epoch: Instant::now(),
             market_names,
             stage,
-            slowest: SlowestRing::new(config.slowest_capacity),
+            slowest: SlowestRing::new(SLOWEST_CAPACITY),
             tracer,
             logger,
             pending_gauge,
@@ -795,7 +800,6 @@ pub struct TuningService {
     live_workers: Arc<AtomicUsize>,
     worker_target: usize,
     admission: AdmissionPolicy,
-    feed_drift_evidence: bool,
     next_job_id: AtomicU64,
     draining: AtomicBool,
 }
@@ -978,7 +982,6 @@ impl TuningService {
             live_workers,
             worker_target,
             admission: config.admission,
-            feed_drift_evidence: config.feed_drift_evidence,
             next_job_id: AtomicU64::new(next_job_id),
             draining: AtomicBool::new(false),
         };
@@ -1231,6 +1234,7 @@ impl TuningService {
                 Ok(JobHandle {
                     job_id: id,
                     receiver,
+                    delivered: Cell::new(false),
                 })
             }
             Err(e) => {
@@ -1400,12 +1404,11 @@ impl TuningService {
         self.telemetry.logger.clone()
     }
 
-    /// Builds an online [`Retuner`] for a job served against `market`. With
-    /// [`ServiceConfig::feed_drift_evidence`] on, the re-tuner's acceptance
-    /// observations are forwarded into this service's [`MarketRegistry`]
-    /// drift detector as they arrive — the evidence that re-tunes the job
-    /// also accumulates toward registry-level confirmed drift, with no
-    /// manual `observe_acceptance` wiring.
+    /// Builds an online [`Retuner`] for a job served against `market`. The
+    /// re-tuner's acceptance observations are forwarded into this service's
+    /// [`MarketRegistry`] drift detector as they arrive — the evidence that
+    /// re-tunes the job also accumulates toward registry-level confirmed
+    /// drift, with no manual `observe_acceptance` wiring.
     pub fn retuner(
         &self,
         problem: HTuningProblem,
@@ -1413,12 +1416,7 @@ impl TuningService {
         policy: RetunePolicy,
         market: MarketId,
     ) -> Retuner {
-        let retuner = Retuner::new(problem, strategy, policy);
-        if self.feed_drift_evidence {
-            retuner.with_evidence_sink(self.markets.clone(), market)
-        } else {
-            retuner
-        }
+        Retuner::new(problem, strategy, policy).with_evidence_sink(self.markets.clone(), market)
     }
 
     /// Jobs waiting in the queue.
@@ -1988,6 +1986,43 @@ mod tests {
         assert!(
             matches!(handle.try_result(), Some(Err(ServeError::WorkerGone))),
             "the outcome is delivered once"
+        );
+        service.shutdown();
+    }
+
+    /// The once-then-`WorkerGone` contract must not depend on when the
+    /// worker drops its sender: a completion hook that blocks keeps the
+    /// sender alive while the handle is polled twice.
+    #[test]
+    fn try_result_reports_worker_gone_while_the_worker_still_holds_the_sender() {
+        let service = TuningService::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let (fired_tx, fired_rx) = mpsc::channel::<u64>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let release_rx = std::sync::Mutex::new(release_rx);
+        let handle = service
+            .submit_with_notify(
+                request("acme", 5, 60),
+                Arc::new(move |job_id| {
+                    let _ = fired_tx.send(job_id);
+                    let _ = release_rx.lock().unwrap().recv();
+                }),
+            )
+            .unwrap();
+        fired_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("completion hook fires");
+        let first = handle.try_result();
+        let second = handle.try_result();
+        // Release the worker before asserting, so a failure cannot wedge
+        // shutdown.
+        release_tx.send(()).unwrap();
+        assert_eq!(first.unwrap().unwrap().job_id, handle.job_id);
+        assert!(
+            matches!(second, Some(Err(ServeError::WorkerGone))),
+            "second poll must report WorkerGone, got {second:?}"
         );
         service.shutdown();
     }

@@ -603,21 +603,7 @@ impl PlanStore {
     /// One store directory must be owned by one process at a time; the store
     /// performs no cross-process locking.
     pub fn open(dir: impl AsRef<Path>) -> Result<(Arc<PlanStore>, StoreSnapshot), StoreError> {
-        Self::open_with_capacity(dir, DEFAULT_QUEUE_CAPACITY)
-    }
-
-    /// [`PlanStore::open`] with an explicit write-behind queue bound.
-    pub fn open_with_capacity(
-        dir: impl AsRef<Path>,
-        queue_capacity: usize,
-    ) -> Result<(Arc<PlanStore>, StoreSnapshot), StoreError> {
-        Self::open_with(
-            dir,
-            StoreOptions {
-                queue_capacity,
-                ..StoreOptions::default()
-            },
-        )
+        Self::open_with(dir, StoreOptions::default())
     }
 
     /// [`PlanStore::open`] with explicit [`StoreOptions`] (queue bound,
@@ -741,22 +727,16 @@ impl PlanStore {
         self.enqueue(Stream::Plans, &record, false);
     }
 
-    /// [`PlanStore::record_plan`] with a persistence-lag probe: the
-    /// enqueue-to-retire latency of this record is recorded into `lag_into`
-    /// (in nanoseconds) once the background writer appends it. This is how
-    /// the service attributes write-behind lag to the job's scenario and
-    /// plan source.
-    pub fn record_plan_traced(&self, fingerprint: u64, plan: &TunedPlan, lag_into: &Histogram) {
-        self.record_plan_observed(fingerprint, plan, Some(lag_into), None);
-    }
-
-    /// The full-observability variant of [`PlanStore::record_plan`]: an
-    /// optional persistence-lag probe (see [`PlanStore::record_plan_traced`])
-    /// plus an optional causal-tracing probe — the job's live [`ActiveTrace`]
-    /// and the `store.persist` span's start stamp. The writer thread records
-    /// the span when the record retires (so the span covers queue wait plus
-    /// the disk write, errored when the write failed) and then releases the
-    /// trace handle, letting the trace's sampling flush run.
+    /// The full-observability variant of [`PlanStore::record_plan`], with
+    /// two optional probes. `lag_into` receives the record's
+    /// enqueue-to-retire latency (in nanoseconds) once the background writer
+    /// appends it; this is how the service attributes write-behind lag to
+    /// the job's scenario and plan source. `span` is the job's live
+    /// [`ActiveTrace`] and the `store.persist` span's start stamp: the
+    /// writer thread records the span when the record retires (so the span
+    /// covers queue wait plus the disk write, errored when the write failed)
+    /// and then releases the trace handle, letting the trace's sampling
+    /// flush run.
     pub fn record_plan_observed(
         &self,
         fingerprint: u64,
@@ -1634,7 +1614,14 @@ mod tests {
         // Enqueue far more than the tiny capacity in a tight loop: whenever
         // the producer outruns the writer the queue drops its oldest entry
         // instead of blocking the (serve-path) producer.
-        let (store, _) = PlanStore::open_with_capacity(&dir, 2).unwrap();
+        let (store, _) = PlanStore::open_with(
+            &dir,
+            StoreOptions {
+                queue_capacity: 2,
+                ..StoreOptions::default()
+            },
+        )
+        .unwrap();
         for i in 0..64u64 {
             store.record_plan(i, &plan(i));
         }

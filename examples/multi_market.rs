@@ -11,8 +11,7 @@
 //!    the whole job on each market, not just the router's own bookkeeping).
 //! 2. **Drift** — "prolific" flips regime mid-stream. A service-built
 //!    [`Retuner`](crowdtune_serve::Retuner) watches a job's own repetitions
-//!    and (with `ServiceConfig::feed_drift_evidence` on, the default)
-//!    auto-forwards every censored acceptance observation into the
+//!    and auto-forwards every censored acceptance observation into the
 //!    registry's sliding-window MLE until drift is *confirmed* — no
 //!    hand-wired `observe_acceptance` replay. A probe ladder (§3.3.1) is
 //!    then priced and `relearn` replaces the belief with the curve fitted
@@ -141,9 +140,9 @@ fn route_and_check(
 /// relearned steep belief.
 ///
 /// The observations arrive through a *service-built* [`Retuner`] watching a
-/// job's own repetitions: with `ServiceConfig::feed_drift_evidence` on (the
-/// default), every acceptance the re-tuner sees is auto-forwarded into the
-/// registry's drift detector — no hand-wired `observe_acceptance` replay.
+/// job's own repetitions: every acceptance the re-tuner sees is
+/// auto-forwarded into the registry's drift detector — no hand-wired
+/// `observe_acceptance` replay.
 fn drift_prolific_to_steep(service: &TuningService, failures: &mut u32) {
     let registry = service.markets();
     // The steep regime at price 6 accepts at λ = 5·6 + 0.5 = 30.5/s; the
