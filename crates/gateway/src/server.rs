@@ -111,7 +111,9 @@ pub struct AuthConfig {
     /// contract, unchanged. The plaintext map is **consumed at startup**:
     /// [`Gateway::start`] folds it into salted iterated digests
     /// ([`crate::auth::HashedKeys`]) and clears this field, so a running
-    /// gateway can verify keys but never reveal them.
+    /// gateway can verify keys but never reveal them. It refuses to start
+    /// with an empty or whitespace-padded key, which no request could
+    /// present.
     pub keys: HashMap<String, String>,
     /// Accept keyless submits that self-declare a body tenant (legacy
     /// wire contract). Defaults to `true` for back-compat; production
@@ -145,8 +147,12 @@ pub struct QuotaConfig {
 /// Sizing and bounds of the gateway.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
-    /// Reactor (event-loop) threads. Each owns its accepted connections;
-    /// one is plenty below ~50k req/s — the tuner pool does the real work.
+    /// Reactor (event-loop) threads. Each owns its accepted connections.
+    /// On keyless traffic one is plenty below ~50k req/s — the tuner pool
+    /// does the real work. On keyed traffic the reactor does it: it derives
+    /// one digest per configured key for every keyed request
+    /// ([`HashedKeys::tenant_for`]), so with four keys one reactor tops out
+    /// near 3,000 keyed req/s on a 2-core x86-64 box.
     pub reactors: usize,
     /// Connections held concurrently across all reactors; the door sheds
     /// `503` above it (mirrors the service's own admission control).
@@ -376,11 +382,18 @@ pub struct Gateway {
 impl Gateway {
     /// Binds `addr` (use port 0 for an ephemeral port — read it back with
     /// [`Gateway::local_addr`]) and starts the reactor threads.
+    ///
+    /// Refuses with [`std::io::ErrorKind::InvalidInput`] a configured API
+    /// key that is empty or has leading or trailing whitespace: presented
+    /// credentials are trimmed and an empty one matches nothing, so such a
+    /// key could never authenticate. The error names the key's tenant,
+    /// never the key.
     pub fn start(
         service: Arc<TuningService>,
         addr: impl ToSocketAddrs,
         mut config: GatewayConfig,
     ) -> std::io::Result<Gateway> {
+        check_keys(&config.auth.keys)?;
         // Fold the configured keys into salted digests and drop the
         // plaintext: from here on the process can verify credentials but
         // not reveal them.
@@ -1296,6 +1309,28 @@ fn api_key(request: &Request) -> Option<&str> {
         return Some("");
     }
     request.header("x-api-key").map(str::trim)
+}
+
+/// Refuses configured keys no request can present: [`api_key`] trims every
+/// credential it extracts, and [`HashedKeys::tenant_for`] matches no empty
+/// one. Names the least such tenant, so the error does not depend on the
+/// map's order.
+fn check_keys(keys: &HashMap<String, String>) -> std::io::Result<()> {
+    let unusable = keys
+        .iter()
+        .filter(|(key, _)| key.is_empty() || key.trim() != key.as_str())
+        .map(|(_, tenant)| tenant)
+        .min();
+    match unusable {
+        Some(tenant) => Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "the API key configured for tenant {tenant:?} is empty or has leading or \
+                 trailing whitespace, so no request could present it"
+            ),
+        )),
+        None => Ok(()),
+    }
 }
 
 /// Resolves the tenant a submit runs under, per [`AuthConfig`]. `Err` is

@@ -311,6 +311,35 @@ fn auth_contract_enforced_when_body_tenant_disallowed() {
     gateway.shutdown();
 }
 
+/// A configured key no request could present fails start-up: presented
+/// credentials are trimmed, so a whitespace-padded key could never match,
+/// and an empty key would otherwise vouch for every request in an
+/// unrecognized `Authorization` scheme. The error names the tenant, never
+/// the key.
+#[test]
+fn start_refuses_empty_or_whitespace_padded_keys() {
+    let service = Arc::new(TuningService::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    }));
+    for key in ["", " sk-acme "] {
+        let config = GatewayConfig {
+            auth: AuthConfig {
+                keys: HashMap::from([(key.to_owned(), "acme".to_owned())]),
+                allow_body_tenant: false,
+            },
+            ..GatewayConfig::default()
+        };
+        let error = Gateway::start(service.clone(), "127.0.0.1:0", config)
+            .err()
+            .unwrap_or_else(|| panic!("started with configured key {key:?}"));
+        assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput, "{key:?}");
+        let message = error.to_string();
+        assert!(message.contains("\"acme\""), "{message}");
+        assert!(!message.contains("sk-acme"), "{message}");
+    }
+}
+
 /// The default config keeps the pre-auth wire contract: keyless submits
 /// run under the body's self-declared tenant. But presenting a key still
 /// means opting in to authentication — an unknown key is refused, never
