@@ -55,11 +55,14 @@
 //! cost a registration, not a thread**: tens of thousands of idle clients
 //! are held by `reactors + tuner` threads total.
 //!
-//! `?wait=1` submits never park the reactor: the job goes to the tuner pool
-//! with a completion hook ([`TuningService::submit_with_notify`]) that wakes
-//! the owning reactor when the outcome is readable, and the response is
-//! rendered then. Pipelined requests behind a dispatched one wait in the
-//! read buffer so responses keep request order.
+//! `?wait=1` submits never park the reactor. An exact plan-cache hit is
+//! answered by the service at submit, so the reactor renders its response in
+//! the same turn that parsed the request — no hook, no waker, no second
+//! turn. Any other job goes to the tuner pool with a completion hook
+//! ([`TuningService::submit_with_notify`]) that wakes the owning reactor
+//! when the outcome is readable, and the response is rendered then.
+//! Pipelined requests behind a dispatched one wait in the read buffer so
+//! responses keep request order.
 //!
 //! Request deadlines are wall-clock timers armed at the first byte of every
 //! request (a trickling client cannot pin anything); the same timer wheel
@@ -808,27 +811,9 @@ impl Reactor {
                 self.conns.insert(token, conn);
                 continue;
             };
-            let job_id = handle.job_id;
             // The hook fires after the worker's send, so the outcome is
-            // readable now; a dropped worker reads as `WorkerGone`.
-            let outcome = handle.try_result().unwrap_or(Err(ServeError::WorkerGone));
-            let error = match &outcome {
-                Ok(_) => None,
-                Err(e) => Some(serve_error_response(e)),
-            };
-            let body = outcome_body(job_id, outcome);
-            let response = {
-                let mut jobs = self
-                    .state
-                    .jobs
-                    .lock()
-                    .expect("gateway job registry poisoned");
-                let body = jobs.store_done(job_id, body);
-                match error {
-                    Some(response) => response,
-                    None => json_response(200, &*body),
-                }
-            };
+            // readable now.
+            let response = settle(&self.state, handle);
             let response = match traceparent {
                 Some(value) => response.with_header("traceparent", value),
                 None => response,
@@ -1030,9 +1015,10 @@ impl Reactor {
         }
     }
 
-    /// Routes one parsed request: everything but a `?wait=1` submit is
-    /// answered inline; a waiting submit parks the *connection* (never a
-    /// thread) in `Dispatched` until the tuner pool's completion hook fires.
+    /// Routes one parsed request: everything but a queued `?wait=1` submit
+    /// is answered inline (a cache hit included); a waiting submit the
+    /// service queued parks the *connection* (never a thread) in
+    /// `Dispatched` until the tuner pool's completion hook fires.
     fn serve_request(&mut self, conn: &mut Conn, request: Request) {
         let endpoint = endpoint_of(&request);
         let started = Instant::now();
@@ -1282,9 +1268,9 @@ fn serve_error_response(error: &ServeError) -> Response {
     }
 }
 
-/// How a `POST /v1/jobs` resolves: an immediate response, or a job parked
-/// with the tuner pool (`?wait=1`) whose completion hook will wake the
-/// reactor.
+/// How a `POST /v1/jobs` resolves: an immediate response (a `?wait=1` cache
+/// hit included), or a queued `?wait=1` job whose completion hook will wake
+/// the reactor.
 enum PostOutcome {
     Respond(Response),
     Dispatched {
@@ -1565,6 +1551,11 @@ fn post_job(
                         vec![("job_id", AttrValue::U64(handle.job_id))],
                     );
                 }
+                if handle.answered_at_submit() {
+                    // An exact cache hit: answered in this reactor turn. Its
+                    // hook never fires, so the connection must not park.
+                    return finish_post(&trace, &echo, settle(state, handle));
+                }
                 PostOutcome::Dispatched {
                     handle,
                     traceparent: echo,
@@ -1609,6 +1600,21 @@ fn post_job(
             ),
         )
     }
+}
+
+/// Answers a finished `?wait=1` submit: the outcome is retained for
+/// `GET /v1/jobs/{id}` and rendered `200`, or mapped to its error status. A
+/// handle with nothing to deliver reads as `WorkerGone`.
+fn settle(state: &GatewayState, handle: JobHandle) -> Response {
+    let job_id = handle.job_id;
+    let outcome = handle.try_result().unwrap_or(Err(ServeError::WorkerGone));
+    let error = outcome.as_ref().err().map(serve_error_response);
+    let body = state
+        .jobs
+        .lock()
+        .expect("gateway job registry poisoned")
+        .store_done(job_id, outcome_body(job_id, outcome));
+    error.unwrap_or_else(|| json_response(200, &*body))
 }
 
 /// Renders a job outcome into the body retained for `GET /v1/jobs/{id}`.

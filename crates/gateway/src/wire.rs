@@ -459,7 +459,7 @@ pub struct HealthBody {
 /// snapshot.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsBody {
-    /// Jobs accepted into the queue.
+    /// Jobs accepted: exact cache hits answered at submit plus queued jobs.
     pub submitted: u64,
     /// Jobs refused by admission control.
     pub rejected: u64,

@@ -8,7 +8,7 @@
 
 use crowdtune_core::rate::{LinearRate, RateSpec};
 use crowdtune_core::task::TaskGroupSpec;
-use crowdtune_core::tuner::StrategyChoice;
+use crowdtune_core::tuner::{StrategyChoice, Tuner};
 use crowdtune_gateway::{AuthConfig, Gateway, GatewayConfig, JobRequestWire, QuotaConfig};
 use crowdtune_serve::{ServiceConfig, TuningService};
 use serde::Value;
@@ -65,17 +65,7 @@ impl Client {
         headers: &[(&str, &str)],
         body: Option<&str>,
     ) -> HttpResponse {
-        let mut text = format!("{method} {target} HTTP/1.1\r\nHost: test\r\n");
-        for (name, value) in headers {
-            text.push_str(&format!("{name}: {value}\r\n"));
-        }
-        if let Some(body) = body {
-            text.push_str(&format!("Content-Length: {}\r\n", body.len()));
-        }
-        text.push_str("\r\n");
-        if let Some(body) = body {
-            text.push_str(body);
-        }
+        let text = request_text(method, target, headers, body);
         self.stream.write_all(text.as_bytes()).expect("send");
         self.read_response().expect("response")
     }
@@ -119,6 +109,27 @@ impl Client {
             body: String::from_utf8(body).expect("utf-8 body"),
         })
     }
+}
+
+/// The bytes of one HTTP/1.1 request.
+fn request_text(
+    method: &str,
+    target: &str,
+    headers: &[(&str, &str)],
+    body: Option<&str>,
+) -> String {
+    let mut text = format!("{method} {target} HTTP/1.1\r\nHost: test\r\n");
+    for (name, value) in headers {
+        text.push_str(&format!("{name}: {value}\r\n"));
+    }
+    if let Some(body) = body {
+        text.push_str(&format!("Content-Length: {}\r\n", body.len()));
+    }
+    text.push_str("\r\n");
+    if let Some(body) = body {
+        text.push_str(body);
+    }
+    text
 }
 
 fn ra_wire(tenant: &str, budget: u64) -> JobRequestWire {
@@ -718,5 +729,77 @@ fn auth_rejects_leave_warn_records_in_the_log_ring() {
     assert_eq!(bad.status, 400, "{}", bad.body);
     assert_eq!(bad.error_code(), "bad_request");
 
+    gateway.shutdown();
+}
+
+/// Exact cache hits are answered in the reactor turn that parsed them, and
+/// pipelining still keeps request order around them: two `?wait=1` submits
+/// in one write — a hit then a miss, then a miss then a hit — answer `200`
+/// in order, each with the plan an independent solve of its own request
+/// gives. A hit's outcome stays pollable at `GET /v1/jobs/{id}` with the
+/// same body, and a plain submit of a cached job still answers `202` and
+/// then resolves to `done`.
+#[test]
+fn pipelined_cache_hits_and_misses_answer_in_order() {
+    let (_service, gateway) = start_gateway(GatewayConfig::default());
+    let mut client = Client::connect(gateway.local_addr());
+    let reference = |budget: u64| {
+        let job = ra_wire("acme", budget).to_request(1_000_000).unwrap();
+        let plan = Tuner::new(job.rate_model)
+            .with_strategy(job.strategy)
+            .plan(job.task_set, job.budget)
+            .unwrap();
+        serde_json::to_string(&plan).unwrap()
+    };
+    let warm = client.request("POST", "/v1/jobs?wait=1", Some(&wire_body("acme", 80)));
+    assert_eq!(warm.status, 200, "{}", warm.body);
+    assert_eq!(as_str(field(&warm.json(), "source")), "cold");
+
+    let mut hits = Vec::new();
+    for pair in [[80, 81], [82, 80]] {
+        let write: String = pair
+            .iter()
+            .map(|&budget| {
+                request_text(
+                    "POST",
+                    "/v1/jobs?wait=1",
+                    &[],
+                    Some(&wire_body("acme", budget)),
+                )
+            })
+            .collect();
+        client.stream.write_all(write.as_bytes()).expect("send");
+        for budget in pair {
+            let response = client.read_response().expect("pipelined response");
+            assert_eq!(response.status, 200, "budget {budget}: {}", response.body);
+            let json = response.json();
+            let source = as_str(field(&json, "source"));
+            assert_eq!(
+                source == "cache",
+                budget == 80,
+                "budget {budget} answered from {source}"
+            );
+            assert_eq!(
+                serde_json::to_string(field(&json, "plan")).unwrap(),
+                reference(budget),
+                "budget {budget} got another request's plan"
+            );
+            if budget == 80 {
+                hits.push((as_u64(field(&json, "job_id")), response.body));
+            }
+        }
+    }
+    for (job_id, body) in hits {
+        let polled = client.request("GET", &format!("/v1/jobs/{job_id}"), None);
+        assert_eq!(polled.status, 200);
+        assert_eq!(polled.body, body, "GET serves the hit's retained body");
+    }
+
+    let submitted = client.request("POST", "/v1/jobs", Some(&wire_body("acme", 80)));
+    assert_eq!(submitted.status, 202, "{}", submitted.body);
+    let job_id = as_u64(field(&submitted.json(), "job_id"));
+    poll_done(&mut client, job_id);
+    let polled = client.request("GET", &format!("/v1/jobs/{job_id}"), None);
+    assert_eq!(as_str(field(&polled.json(), "source")), "cache");
     gateway.shutdown();
 }

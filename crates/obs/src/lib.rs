@@ -45,6 +45,6 @@ pub use metric::{Counter, Gauge};
 pub use registry::Registry;
 pub use span::{
     ActiveTrace, AttrValue, SampleReason, Span, SpanId, SpanStatus, SpanStore, StoredTrace,
-    TraceContext, TraceId, Tracer, TracerConfig,
+    TraceContext, TraceId, TraceStart, Tracer, TracerConfig,
 };
 pub use trace::{JobTrace, SlowestRing};

@@ -22,6 +22,10 @@
 //!   duration over the slow threshold, or any span errored — so slow and
 //!   failing requests are *always* kept). Kept traces go to the
 //!   [`SpanStore`]; dropped ones only bump a counter.
+//! * A job's span subtree is rendered only when its trace is kept
+//!   ([`JobTrace::record_spans`]), and a trace can begin without going live
+//!   ([`Tracer::begin_trace`]), so a request answered without a live trace
+//!   — a plan-cache hit — builds nothing for a trace that is not kept.
 //! * The [`SpanStore`] is a bounded ring: admission claims a slot with one
 //!   atomic `fetch_add` (no admission lock, writers never contend with each
 //!   other except on slot reuse) and each slot swap is a short per-slot
@@ -34,6 +38,7 @@
 
 use crate::metric::Counter;
 use crate::registry::Registry;
+use crate::trace::JobTrace;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -499,32 +504,89 @@ impl Tracer {
         name: &'static str,
         context: Option<TraceContext>,
     ) -> ActiveTrace {
+        self.begin_trace(name, context).activate()
+    }
+
+    /// Begins a trace without making it live: the root's start stamp and
+    /// the head-sampling decision are taken as in
+    /// [`Tracer::start_trace`], and nothing is allocated (see
+    /// [`TraceStart`]).
+    pub fn begin_trace(
+        self: &Arc<Self>,
+        name: &'static str,
+        context: Option<TraceContext>,
+    ) -> TraceStart<'_> {
         let start_ns = self.now_ns();
-        let (trace_id, parent, head_sampled) = match context {
-            Some(ctx) => (ctx.trace_id, Some(ctx.parent), ctx.sampled),
+        let head_sampled = match context {
+            Some(ctx) => ctx.sampled,
             None => {
                 let every = self.config.head_sample_every;
-                let sampled = every != 0
+                every != 0
                     && self
                         .head_counter
                         .fetch_add(1, Ordering::Relaxed)
-                        .is_multiple_of(every);
-                (random_trace_id(), None, sampled)
+                        .is_multiple_of(every)
             }
         };
-        self.started.inc();
+        TraceStart {
+            tracer: self,
+            name,
+            context,
+            start_ns,
+            head_sampled,
+        }
+    }
+}
+
+/// A trace whose root has begun but which is not live yet. A caller that
+/// may finish its whole request without a live trace — a plan-cache hit —
+/// makes it live only when sampling would keep it, and otherwise discards
+/// it with the same span accounting a live trace dropped by sampling gets,
+/// so an unsampled fast request builds no spans at all.
+#[derive(Debug)]
+pub struct TraceStart<'a> {
+    tracer: &'a Arc<Tracer>,
+    name: &'static str,
+    context: Option<TraceContext>,
+    start_ns: u64,
+    head_sampled: bool,
+}
+
+impl TraceStart<'_> {
+    /// The root's start stamp (tracer clock).
+    pub fn start_ns(&self) -> u64 {
+        self.start_ns
+    }
+
+    /// Whether the trace, ended at `end_ns` (tracer clock) without an
+    /// error, would be kept: it was head-sampled, or its root ran at least
+    /// the slow threshold.
+    pub fn would_keep(&self, end_ns: u64) -> bool {
+        self.head_sampled
+            || end_ns.saturating_sub(self.start_ns) >= self.tracer.config.slow_threshold_ns
+    }
+
+    /// Makes the trace live, its root starting at the stamp taken when it
+    /// began.
+    pub fn activate(self) -> ActiveTrace {
+        let (trace_id, parent) = match self.context {
+            Some(ctx) => (ctx.trace_id, Some(ctx.parent)),
+            None => (random_trace_id(), None),
+        };
+        self.tracer.started.inc();
         ActiveTrace {
             inner: Arc::new(TraceShared {
-                tracer: self.clone(),
+                tracer: self.tracer.clone(),
                 trace_id,
                 root_span: random_span_id(),
                 root_parent: parent,
-                name,
-                start_ns,
-                head_sampled,
+                name: self.name,
+                start_ns: self.start_ns,
+                head_sampled: self.head_sampled,
                 error: AtomicBool::new(false),
                 state: Mutex::new(TraceState {
                     spans: Vec::new(),
+                    jobs: Vec::new(),
                     tenant: String::new(),
                     market: String::new(),
                     scenario: "",
@@ -534,10 +596,37 @@ impl Tracer {
             }),
         }
     }
+
+    /// Ends the trace unkept, accounting `spans` spans (its root included)
+    /// as started and dropped, as sampling does for a live trace it drops.
+    pub fn discard(self, spans: u64) {
+        self.tracer.started.add(spans);
+        self.tracer.dropped.add(spans);
+    }
+}
+
+impl TraceState {
+    /// Sets the non-empty summary labels (see [`ActiveTrace::annotate`]).
+    fn annotate(&mut self, tenant: &str, market: &str, scenario: &'static str) {
+        if !tenant.is_empty() {
+            self.tenant.clear();
+            self.tenant.push_str(tenant);
+        }
+        if !market.is_empty() {
+            self.market.clear();
+            self.market.push_str(market);
+        }
+        if !scenario.is_empty() {
+            self.scenario = scenario;
+        }
+    }
 }
 
 struct TraceState {
     spans: Vec<Span>,
+    /// Jobs whose span subtrees render only if the trace is kept, each
+    /// with its position among `spans` (see [`JobTrace::record_spans`]).
+    jobs: Vec<(usize, JobTrace)>,
     tenant: String,
     market: String,
     scenario: &'static str,
@@ -620,18 +709,24 @@ impl ActiveTrace {
 
     /// Sets the summary labels shown in the trace list.
     pub fn annotate(&self, tenant: &str, market: &str, scenario: &'static str) {
+        self.inner
+            .state
+            .lock()
+            .expect("trace state poisoned")
+            .annotate(tenant, market, scenario);
+    }
+
+    /// Takes a finished job's stamps for [`JobTrace::record_spans`]: its
+    /// spans are counted now and rendered at completion, in recording
+    /// order, if sampling keeps the trace.
+    pub(crate) fn defer_job(&self, job: JobTrace) {
+        self.inner.tracer.started.add(job.span_count());
+        if !job.is_ok() {
+            self.inner.error.store(true, Ordering::Relaxed);
+        }
         let mut state = self.inner.state.lock().expect("trace state poisoned");
-        if !tenant.is_empty() {
-            state.tenant.clear();
-            state.tenant.push_str(tenant);
-        }
-        if !market.is_empty() {
-            state.market.clear();
-            state.market.push_str(market);
-        }
-        if !scenario.is_empty() {
-            state.scenario = scenario;
-        }
+        let at = state.spans.len();
+        state.jobs.push((at, job));
     }
 
     /// Records a completed `Ok` span with no attributes. Returns its id so
@@ -694,6 +789,7 @@ impl Drop for TraceShared {
     fn drop(&mut self) {
         let state = self.state.get_mut().expect("trace state poisoned");
         let spans = std::mem::take(&mut state.spans);
+        let jobs = std::mem::take(&mut state.jobs);
         let errored = *self.error.get_mut();
         let tracer = &self.tracer;
         let end_ns = if state.root_end_ns != 0 {
@@ -711,7 +807,8 @@ impl Drop for TraceShared {
         } else {
             None
         };
-        let span_count = spans.len() as u64 + 1; // + root
+        let job_spans: u64 = jobs.iter().map(|(_, job)| job.span_count()).sum();
+        let span_count = spans.len() as u64 + job_spans + 1; // + root
         let Some(reason) = reason else {
             tracer.dropped.add(span_count);
             return;
@@ -732,9 +829,17 @@ impl Drop for TraceShared {
             status,
             attrs: std::mem::take(&mut state.root_attrs),
         };
-        let mut all = Vec::with_capacity(spans.len() + 1);
+        let mut all = Vec::with_capacity(span_count as usize);
         all.push(root);
-        all.extend(spans);
+        let mut eager = spans.into_iter();
+        let mut emitted = 0;
+        for (at, job) in jobs {
+            all.extend(eager.by_ref().take(at - emitted));
+            emitted = at;
+            state.annotate(&job.tenant, &job.market, job.scenario);
+            job.render_spans(self.trace_id, self.root_span, &mut all);
+        }
+        all.extend(eager);
         tracer.store.record(Arc::new(StoredTrace {
             trace_id: self.trace_id,
             name: self.name,
@@ -872,6 +977,78 @@ mod tests {
         assert!(registry
             .render_prometheus()
             .contains("crowdtune_spans_dropped_total 2"));
+    }
+
+    /// Job spans rendered at completion are counted like eager spans and
+    /// land in recording order, and a begun trace discarded unkept counts
+    /// exactly what sampling counts for a live trace it drops.
+    #[test]
+    fn deferred_job_spans_and_discarded_starts_count_like_eager_spans() {
+        let job = JobTrace {
+            job_id: 7,
+            tenant: "acme".to_owned(),
+            source: "cache",
+            status: "ok",
+            admitted_ns: 1,
+            enqueued_ns: 1,
+            dequeued_ns: 1,
+            solve_start_ns: 2,
+            solve_end_ns: 3,
+            estimate_end_ns: 3,
+            completed_ns: 3,
+            ..JobTrace::default()
+        };
+        let registry = Registry::new();
+        let tracer = Tracer::new(
+            &registry,
+            TracerConfig {
+                head_sample_every: 1,
+                slow_threshold_ns: u64::MAX,
+                capacity: 8,
+            },
+        );
+        let trace = tracer.start_trace("http.request", None);
+        trace.span("gateway.parse", None, 0, 1);
+        job.clone().record_spans(&trace);
+        trace.span("gateway.dispatch", None, 3, 4);
+        let id = trace.trace_id();
+        drop(trace);
+        let stored = tracer.store().get(id).expect("head-sampled");
+        let names: Vec<&str> = stored.spans.iter().map(|s| s.name).collect();
+        let expected = [
+            "http.request",
+            "gateway.parse",
+            "job",
+            "queue.wait",
+            "solve",
+            "gateway.dispatch",
+        ];
+        assert_eq!(names, expected);
+        assert_eq!(stored.tenant, "acme");
+        let text = registry.render_prometheus();
+        assert!(text.contains("crowdtune_spans_started_total 6"), "{text}");
+        assert!(text.contains("crowdtune_spans_sampled_total 6"), "{text}");
+
+        let registry = Registry::new();
+        let tracer = Tracer::new(
+            &registry,
+            TracerConfig {
+                head_sample_every: 0,
+                slow_threshold_ns: 1_000_000_000,
+                capacity: 8,
+            },
+        );
+        let live = tracer.start_trace("job.submit", None);
+        job.clone().record_spans(&live);
+        drop(live);
+        let begun = tracer.begin_trace("job.submit", None);
+        assert!(!begun.would_keep(begun.start_ns() + 999_999_999));
+        let slow = begun.start_ns() + 1_000_000_000;
+        assert!(begun.would_keep(slow), "slow roots are kept");
+        begun.discard(1 + job.span_count());
+        let text = registry.render_prometheus();
+        assert!(text.contains("crowdtune_spans_started_total 8"), "{text}");
+        assert!(text.contains("crowdtune_spans_dropped_total 8"), "{text}");
     }
 
     #[test]

@@ -21,12 +21,13 @@
 //! take the ring's mutex.
 //!
 //! When causal tracing is on, the span tree is the primary record:
-//! [`JobTrace::record_spans`] renders the stamps as spans into an
-//! [`ActiveTrace`], and [`JobTrace::from_spans`] reconstructs the stamp
-//! view from a stored span tree — the two are round-trip equal, so there is
-//! one bookkeeping source, viewed two ways.
+//! [`JobTrace::record_spans`] hands the stamps to an [`ActiveTrace`], which
+//! renders them as spans if sampling keeps the trace, and
+//! [`JobTrace::from_spans`] reconstructs the stamp view from a stored span
+//! tree — the two are round-trip equal, so there is one bookkeeping source,
+//! viewed two ways.
 
-use crate::span::{ActiveTrace, AttrValue, Span, SpanId, SpanStatus};
+use crate::span::{random_span_id, ActiveTrace, AttrValue, Span, SpanId, SpanStatus, TraceId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -103,12 +104,42 @@ impl JobTrace {
         self.status_str() == "ok"
     }
 
-    /// Renders the stamps as the job's span subtree into `trace`: a `job`
-    /// span (parented under the trace root) with `queue.wait`, `solve`
-    /// (plus `family.lock_wait` when the solve blocked on the family entry
-    /// lock) and `estimate` children. Every stage span reuses the stamps —
-    /// no extra clock reads. Returns the `job` span's id.
-    pub fn record_spans(&self, trace: &ActiveTrace) -> SpanId {
+    /// Records the job's span subtree into `trace`: a `job` span (parented
+    /// under the trace root) with `queue.wait`, `solve` (plus
+    /// `family.lock_wait` when the solve blocked on the family entry lock)
+    /// and `estimate` children, and the trace's summary labels. Every stage
+    /// span reuses the stamps — no extra clock reads. The spans are counted
+    /// now (and a failed job marks the trace errored, so it is
+    /// tail-sampled) but rendered only if sampling keeps the trace, so an
+    /// unsampled trace pays for none of them.
+    pub fn record_spans(self, trace: &ActiveTrace) {
+        trace.defer_job(self);
+    }
+
+    /// How many spans [`JobTrace::record_spans`] renders for this job.
+    pub fn span_count(&self) -> u64 {
+        let mut count = 2; // job, queue.wait
+        if self.solve_start_ns != 0 {
+            count += 1;
+            count += u64::from(self.family_lock_wait_ns > 0);
+            count += u64::from(self.estimate_end_ns > self.solve_end_ns);
+        }
+        count
+    }
+
+    /// Renders the job's span subtree (see [`JobTrace::record_spans`]) into
+    /// `out`, under the root span `root` of trace `trace_id`.
+    pub(crate) fn render_spans(self, trace_id: TraceId, root: SpanId, out: &mut Vec<Span>) {
+        let span = |name, parent, start_ns: u64, end_ns: u64, status, attrs| Span {
+            trace_id,
+            span_id: random_span_id(),
+            parent: Some(parent),
+            name,
+            start_ns,
+            duration_ns: end_ns.saturating_sub(start_ns),
+            status,
+            attrs,
+        };
         let status = if self.is_ok() {
             SpanStatus::Ok
         } else {
@@ -128,50 +159,63 @@ impl JobTrace {
         if !self.source.is_empty() {
             attrs.push(("source", AttrValue::Str(self.source.to_owned())));
         }
-        let job = trace.span_with(
+        let job = span(
             "job",
-            None,
+            root,
             self.admitted_ns,
             self.completed_ns,
             status,
             attrs,
         );
-        trace.span("queue.wait", Some(job), self.enqueued_ns, self.dequeued_ns);
+        let job_id = job.span_id;
+        out.push(job);
+        out.push(span(
+            "queue.wait",
+            job_id,
+            self.enqueued_ns,
+            self.dequeued_ns,
+            SpanStatus::Ok,
+            Vec::new(),
+        ));
         if self.solve_start_ns != 0 {
             let mut solve_attrs = Vec::new();
             if !self.source.is_empty() {
                 solve_attrs.push(("source", AttrValue::Str(self.source.to_owned())));
             }
-            let solve = trace.span_with(
+            let solve = span(
                 "solve",
-                Some(job),
+                job_id,
                 self.solve_start_ns,
                 self.solve_end_ns,
                 status,
                 solve_attrs,
             );
+            let solve_id = solve.span_id;
+            out.push(solve);
             if self.family_lock_wait_ns > 0 {
                 // The lock wait is a duration inside the solve window; it is
                 // rendered anchored at the solve start (where the family
                 // entry lock is taken).
-                trace.span(
+                out.push(span(
                     "family.lock_wait",
-                    Some(solve),
+                    solve_id,
                     self.solve_start_ns,
                     self.solve_start_ns + self.family_lock_wait_ns,
-                );
+                    SpanStatus::Ok,
+                    Vec::new(),
+                ));
             }
             if self.estimate_end_ns > self.solve_end_ns {
-                trace.span(
+                out.push(span(
                     "estimate",
-                    Some(job),
+                    job_id,
                     self.solve_end_ns,
                     self.estimate_end_ns,
-                );
+                    SpanStatus::Ok,
+                    Vec::new(),
+                ));
             }
         }
-        trace.annotate(&self.tenant, &self.market, self.scenario);
-        job
     }
 
     /// Reconstructs the stamp view from a stored span tree (the inverse of
@@ -274,8 +318,9 @@ impl SlowestRing {
         }
     }
 
-    /// Offers a completed trace; keeps it iff it ranks among the slowest N.
-    pub fn offer(&self, trace: JobTrace) {
+    /// Offers a completed trace; keeps a copy iff it ranks among the
+    /// slowest N.
+    pub fn offer(&self, trace: &JobTrace) {
         let total = trace.total_ns();
         // Relaxed is fine: a stale floor only means one extra mutex trip or
         // one marginal trace missed — never a wrong ring invariant.
@@ -284,7 +329,7 @@ impl SlowestRing {
         }
         let mut traces = self.traces.lock().expect("slowest ring poisoned");
         if traces.len() < self.capacity {
-            traces.push(trace);
+            traces.push(trace.clone());
         } else {
             let (min_idx, min_total) = traces
                 .iter()
@@ -295,7 +340,7 @@ impl SlowestRing {
             if total <= min_total {
                 return;
             }
-            traces[min_idx] = trace;
+            traces[min_idx] = trace.clone();
         }
         if traces.len() == self.capacity {
             let floor = traces
@@ -351,7 +396,7 @@ mod tests {
     fn ring_keeps_the_slowest() {
         let ring = SlowestRing::new(3);
         for (id, total) in [(1, 50), (2, 10), (3, 80), (4, 20), (5, 60), (6, 5)] {
-            ring.offer(trace(id, total));
+            ring.offer(&trace(id, total));
         }
         let kept: Vec<u64> = ring.snapshot().iter().map(|t| t.job_id).collect();
         assert_eq!(kept, vec![3, 5, 1]);
@@ -360,8 +405,8 @@ mod tests {
     #[test]
     fn ring_admits_error_traces() {
         let ring = SlowestRing::new(2);
-        ring.offer(trace(1, 50));
-        ring.offer(JobTrace {
+        ring.offer(&trace(1, 50));
+        ring.offer(&JobTrace {
             job_id: 2,
             status: "panicked",
             admitted_ns: 100,
@@ -405,7 +450,7 @@ mod tests {
         };
         let active = tracer.start_trace("job.submit", None);
         let id = active.trace_id();
-        original.record_spans(&active);
+        original.clone().record_spans(&active);
         drop(active);
         let stored = tracer.store().get(id).expect("head-sampled");
         let view = JobTrace::from_spans(&stored.spans).expect("job span present");
@@ -423,10 +468,10 @@ mod tests {
     #[test]
     fn ring_fast_path_skips_slow_enough_traces() {
         let ring = SlowestRing::new(2);
-        ring.offer(trace(1, 100));
-        ring.offer(trace(2, 200));
+        ring.offer(&trace(1, 100));
+        ring.offer(&trace(2, 200));
         // Ring full; floor is 100 — this one must not displace anything.
-        ring.offer(trace(3, 40));
+        ring.offer(&trace(3, 40));
         let kept: Vec<u64> = ring.snapshot().iter().map(|t| t.job_id).collect();
         assert_eq!(kept, vec![2, 1]);
     }

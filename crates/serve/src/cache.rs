@@ -93,23 +93,27 @@ impl PlanCache {
 
     /// Looks up a plan, refreshing its recency on a hit.
     pub fn get(&self, key: PlanFingerprint) -> Option<Arc<TunedPlan>> {
+        let plan = self.probe(key);
+        if plan.is_none() {
+            self.misses.inc();
+        }
+        plan
+    }
+
+    /// [`PlanCache::get`] that counts only a hit. For a lookup whose miss is
+    /// followed by a counted `get` of the same key — the service's
+    /// submit-time probe, which hands a miss to a worker that looks again —
+    /// so each job counts one lookup.
+    pub fn probe(&self, key: PlanFingerprint) -> Option<Arc<TunedPlan>> {
         let mut shard = self.shard_for(key).lock().expect("cache shard poisoned");
         shard.tick += 1;
         let tick = shard.tick;
-        match shard.entries.get_mut(&key.0) {
-            Some((plan, last_used)) => {
-                *last_used = tick;
-                let plan = plan.clone();
-                drop(shard);
-                self.hits.inc();
-                Some(plan)
-            }
-            None => {
-                drop(shard);
-                self.misses.inc();
-                None
-            }
-        }
+        let (plan, last_used) = shard.entries.get_mut(&key.0)?;
+        *last_used = tick;
+        let plan = plan.clone();
+        drop(shard);
+        self.hits.inc();
+        Some(plan)
     }
 
     /// Inserts a plan, evicting the least recently used entry of the shard
@@ -238,6 +242,18 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.entries, 1);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn probe_counts_only_hits() {
+        let cache = PlanCache::new(1, 8);
+        let key = PlanFingerprint(9);
+        assert!(cache.probe(key).is_none());
+        assert_eq!(cache.stats().misses, 0, "a miss is left to the get after");
+        cache.insert(key, plan(1));
+        assert!(cache.probe(key).is_some());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 0));
     }
 
     #[test]

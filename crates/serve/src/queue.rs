@@ -9,7 +9,8 @@
 //! Admission control is depth-based back-pressure: a global bound and a
 //! per-tenant bound, both checked at submit time. Rejected jobs return
 //! [`AdmissionError`] immediately — shedding load at the door is cheaper
-//! than timing out deep in the queue.
+//! than timing out deep in the queue. Only jobs that need a worker reach the
+//! queue: the tuning service answers exact plan-cache hits at submit.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -48,7 +49,9 @@ impl fmt::Display for AdmissionError {
 
 impl std::error::Error for AdmissionError {}
 
-/// Queue depth limits.
+/// Queue depth limits. They bound jobs waiting in the queue: the tuning
+/// service answers exact plan-cache hits before the queue, so a hit never
+/// counts against them or is refused by them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionPolicy {
     /// Maximum jobs pending across all tenants.
@@ -97,8 +100,16 @@ impl<T> JobQueue<T> {
         }
     }
 
-    /// Enqueues a job for `tenant`, applying admission control.
-    pub fn submit(&self, tenant: &str, job: T) -> Result<(), AdmissionError> {
+    /// Enqueues a job for `tenant`, applying admission control. `admitted`
+    /// runs under the queue lock once the job is admitted and before any
+    /// worker can see it, so whatever it counts precedes everything a worker
+    /// does with the job; a refused job never runs it.
+    pub fn submit(
+        &self,
+        tenant: &str,
+        job: T,
+        admitted: impl FnOnce(),
+    ) -> Result<(), AdmissionError> {
         let mut inner = self.inner.lock().expect("job queue poisoned");
         if inner.closed {
             return Err(AdmissionError::Closed);
@@ -118,6 +129,7 @@ impl<T> JobQueue<T> {
                 limit: self.policy.max_pending_per_tenant,
             });
         }
+        admitted();
         let lane = inner.lanes.entry(tenant.to_owned()).or_default();
         lane.push_back(job);
         if lane.len() == 1 {
@@ -198,9 +210,9 @@ mod tests {
     #[test]
     fn fifo_within_a_tenant() {
         let q = queue(16, 16);
-        q.submit("a", 1).unwrap();
-        q.submit("a", 2).unwrap();
-        q.submit("a", 3).unwrap();
+        q.submit("a", 1, || {}).unwrap();
+        q.submit("a", 2, || {}).unwrap();
+        q.submit("a", 3, || {}).unwrap();
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), Some(3));
@@ -210,10 +222,10 @@ mod tests {
     fn round_robin_across_tenants() {
         let q = queue(16, 16);
         // Tenant "hog" floods first; "mouse" arrives later with one job.
-        q.submit("hog", 10).unwrap();
-        q.submit("hog", 11).unwrap();
-        q.submit("hog", 12).unwrap();
-        q.submit("mouse", 99).unwrap();
+        q.submit("hog", 10, || {}).unwrap();
+        q.submit("hog", 11, || {}).unwrap();
+        q.submit("hog", 12, || {}).unwrap();
+        q.submit("mouse", 99, || {}).unwrap();
         assert_eq!(q.pop(), Some(10));
         // Fairness: the mouse is served before the hog's backlog drains.
         assert_eq!(q.pop(), Some(99));
@@ -224,15 +236,15 @@ mod tests {
     #[test]
     fn admission_limits_apply() {
         let q = queue(3, 2);
-        q.submit("a", 1).unwrap();
-        q.submit("a", 2).unwrap();
+        q.submit("a", 1, || {}).unwrap();
+        q.submit("a", 2, || {}).unwrap();
         assert_eq!(
-            q.submit("a", 3),
+            q.submit("a", 3, || {}),
             Err(AdmissionError::TenantOverLimit { limit: 2 })
         );
-        q.submit("b", 4).unwrap();
+        q.submit("b", 4, || {}).unwrap();
         assert_eq!(
-            q.submit("c", 5),
+            q.submit("c", 5, || {}),
             Err(AdmissionError::QueueFull { limit: 3 })
         );
         assert_eq!(q.pending(), 3);
@@ -247,7 +259,7 @@ mod tests {
         let q = queue(16, 0);
         for i in 0..100u32 {
             assert_eq!(
-                q.submit(&format!("tenant-{i}"), i),
+                q.submit(&format!("tenant-{i}"), i, || {}),
                 Err(AdmissionError::TenantOverLimit { limit: 0 })
             );
         }
@@ -257,9 +269,9 @@ mod tests {
         // A tenant rejected at a non-zero cap keeps exactly its existing
         // lane, and lanes are still reclaimed once drained.
         let q = queue(16, 1);
-        q.submit("a", 1).unwrap();
+        q.submit("a", 1, || {}).unwrap();
         assert_eq!(
-            q.submit("a", 2),
+            q.submit("a", 2, || {}),
             Err(AdmissionError::TenantOverLimit { limit: 1 })
         );
         assert_eq!(q.active_tenants(), 1);
@@ -270,9 +282,9 @@ mod tests {
     #[test]
     fn close_rejects_submissions_and_drains() {
         let q = queue(8, 8);
-        q.submit("a", 1).unwrap();
+        q.submit("a", 1, || {}).unwrap();
         q.close();
-        assert_eq!(q.submit("a", 2), Err(AdmissionError::Closed));
+        assert_eq!(q.submit("a", 2, || {}), Err(AdmissionError::Closed));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), None);
     }
@@ -285,7 +297,7 @@ mod tests {
             std::thread::spawn(move || q.pop())
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
-        q.submit("a", 7).unwrap();
+        q.submit("a", 7, || {}).unwrap();
         assert_eq!(consumer.join().unwrap(), Some(7));
     }
 
@@ -299,5 +311,32 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.close();
         assert_eq!(consumer.join().unwrap(), None);
+    }
+
+    /// The admit callback runs once per admitted job, while the job is not
+    /// yet poppable, and never for a refused one.
+    #[test]
+    fn admit_callback_runs_before_the_job_is_visible_and_only_on_admission() {
+        let q = queue(2, 1);
+        let admitted = std::cell::Cell::new(0);
+        q.submit("a", 1, || {
+            assert!(q.inner.try_lock().is_err(), "runs under the queue lock");
+            admitted.set(admitted.get() + 1);
+        })
+        .unwrap();
+        assert!(q
+            .submit("a", 2, || admitted.set(admitted.get() + 1))
+            .is_err());
+        q.submit("b", 3, || admitted.set(admitted.get() + 1))
+            .unwrap();
+        assert!(q
+            .submit("c", 4, || admitted.set(admitted.get() + 1))
+            .is_err());
+        q.close();
+        assert!(q
+            .submit("d", 5, || admitted.set(admitted.get() + 1))
+            .is_err());
+        assert_eq!(admitted.get(), 2, "refused submits must not count");
+        assert_eq!(q.pending(), 2);
     }
 }

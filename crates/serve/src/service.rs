@@ -3,10 +3,13 @@
 //! exact-match sharded [`PlanCache`] and the cross-budget
 //! [`PlanFamilies`] store.
 //!
-//! Submissions return a [`JobHandle`] immediately; the plan is delivered
-//! through it when a worker finishes (or straight from the cache). The
-//! service is deliberately transport-agnostic — an HTTP/gRPC front-end is a
-//! thin layer over [`TuningService::submit`] (see ROADMAP).
+//! Submissions return a [`JobHandle`] immediately. An exact cache hit is
+//! answered on the submitting thread: the handle already holds the plan, and
+//! the job writes no journal record, takes no queue slot and never reaches
+//! a worker. Every other job is journaled (with a durable store), queued,
+//! and delivered through the handle when a worker finishes. The service is
+//! deliberately transport-agnostic — an HTTP/gRPC front-end is a thin layer
+//! over [`TuningService::submit`] (see ROADMAP).
 
 use crate::cache::{CacheStats, PlanCache};
 use crate::family::{FamilyServe, FamilyStats, PlanFamilies};
@@ -27,9 +30,10 @@ use crowdtune_core::tuner::{StrategyChoice, TunedPlan, Tuner};
 use crowdtune_market::MarketRegistry;
 use crowdtune_obs::{
     ActiveTrace, Counter, Gauge, Histogram, JobTrace, LogLevel, Logger, LoggerConfig, Registry,
-    SlowestRing, TraceContext, Tracer, TracerConfig,
+    SlowestRing, TraceContext, TraceStart, Tracer, TracerConfig,
 };
-use std::cell::Cell;
+use std::any::Any;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -175,7 +179,7 @@ impl From<StoreError> for ServeError {
 pub struct JobHandle {
     /// Service-assigned job id.
     pub job_id: u64,
-    receiver: mpsc::Receiver<Result<ServedPlan, ServeError>>,
+    delivery: Delivery,
     /// Set once [`JobHandle::try_result`] has handed out the outcome, so
     /// later polls answer `WorkerGone` without consulting the channel — the
     /// worker may still hold its sender (completion hook, telemetry fold)
@@ -183,9 +187,21 @@ pub struct JobHandle {
     delivered: Cell<bool>,
 }
 
+/// Where a [`JobHandle`]'s outcome comes from.
+#[derive(Debug)]
+enum Delivery {
+    /// Answered at submit (an exact cache hit): the plan is held in place
+    /// until [`JobHandle::try_result`] or [`JobHandle::wait`] takes it.
+    Answered(RefCell<Option<ServedPlan>>),
+    /// Queued: the worker sends the outcome.
+    Queued(mpsc::Receiver<Result<ServedPlan, ServeError>>),
+}
+
 /// A completion hook for event-driven front-ends: invoked with the job id
 /// exactly once, after the outcome is deliverable via
-/// [`JobHandle::try_result`]. See [`TuningService::submit_with_notify`].
+/// [`JobHandle::try_result`]. A job answered at submit never invokes it —
+/// check [`JobHandle::answered_at_submit`]. See
+/// [`TuningService::submit_with_notify`].
 pub type CompletionNotify = Arc<dyn Fn(u64) + Send + Sync>;
 
 /// Fires the completion hook exactly once — normally right after the worker
@@ -213,27 +229,46 @@ impl Drop for NotifyOnce {
 }
 
 impl JobHandle {
+    fn new(job_id: u64, delivery: Delivery) -> JobHandle {
+        JobHandle {
+            job_id,
+            delivery,
+            delivered: Cell::new(false),
+        }
+    }
+
+    /// Whether the job was answered at submit (an exact cache hit): its
+    /// outcome is readable right away and its completion hook never fires.
+    pub fn answered_at_submit(&self) -> bool {
+        matches!(self.delivery, Delivery::Answered(_))
+    }
+
     /// Blocks until the job completes.
     pub fn wait(self) -> Result<ServedPlan, ServeError> {
-        self.receiver.recv().unwrap_or(Err(ServeError::WorkerGone))
+        match self.delivery {
+            Delivery::Answered(plan) => plan.into_inner().ok_or(ServeError::WorkerGone),
+            Delivery::Queued(receiver) => receiver.recv().unwrap_or(Err(ServeError::WorkerGone)),
+        }
     }
 
     /// Non-blocking poll: `None` while the job is still in flight, the
-    /// outcome once a worker delivered it. The outcome is delivered **once**
-    /// — a transport front-end polling on behalf of a client must retain it;
-    /// a later call reports [`ServeError::WorkerGone`].
+    /// outcome once it is delivered. The outcome is delivered **once** — a
+    /// transport front-end polling on behalf of a client must retain it; a
+    /// later call reports [`ServeError::WorkerGone`].
     pub fn try_result(&self) -> Option<Result<ServedPlan, ServeError>> {
         if self.delivered.get() {
             return Some(Err(ServeError::WorkerGone));
         }
-        match self.receiver.try_recv() {
-            Ok(outcome) => {
-                self.delivered.set(true);
-                Some(outcome)
-            }
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(ServeError::WorkerGone)),
-        }
+        let outcome = match &self.delivery {
+            Delivery::Answered(plan) => plan.take().ok_or(ServeError::WorkerGone),
+            Delivery::Queued(receiver) => match receiver.try_recv() {
+                Ok(outcome) => outcome,
+                Err(mpsc::TryRecvError::Empty) => return None,
+                Err(mpsc::TryRecvError::Disconnected) => return Some(Err(ServeError::WorkerGone)),
+            },
+        };
+        self.delivered.set(true);
+        Some(outcome)
     }
 }
 
@@ -332,7 +367,7 @@ impl ServiceMetrics {
         );
         registry.register_counter(
             "crowdtune_jobs_submitted_total",
-            "Jobs accepted into the queue.",
+            "Jobs accepted: answered from the plan cache at submit, or queued.",
             &[],
             self.submitted.clone(),
         );
@@ -584,8 +619,8 @@ impl Telemetry {
 
     /// Folds a completed trace into the per-stage histograms and offers it
     /// to the slowest ring.
-    fn record_job(&self, trace: JobTrace) {
-        if let Some((mi, si, pi)) = self.market_scenario_source(&trace) {
+    fn record_job(&self, trace: &JobTrace) {
+        if let Some((mi, si, pi)) = self.market_scenario_source(trace) {
             self.stage.queue_wait[mi][si][pi].record(trace.queue_wait_ns());
             self.stage.solve[mi][si][pi].record(trace.solve_ns());
             self.stage.estimate[mi][si][pi].record(trace.estimate_ns());
@@ -602,6 +637,17 @@ impl Telemetry {
         self.slowest.offer(trace);
     }
 
+    /// Folds a finished job's trace on the thread that answered it — the
+    /// worker after responding, or the submitter for a hit answered at
+    /// submit: [`Telemetry::record_job`], then the job's spans into its
+    /// causal trace.
+    fn finish_job(&self, trace: JobTrace, span: Option<&ActiveTrace>) {
+        self.record_job(&trace);
+        if let Some(active) = span {
+            trace.record_spans(active);
+        }
+    }
+
     /// The persist-lag histogram matching the trace's labels, if any.
     fn persist_hist(&self, trace: &JobTrace) -> Option<&Histogram> {
         self.market_scenario_source(trace)
@@ -612,7 +658,8 @@ impl Telemetry {
 /// A point-in-time snapshot of [`ServiceMetrics`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// Jobs accepted into the queue.
+    /// Jobs accepted: exact cache hits answered at submit plus jobs
+    /// admitted into the queue.
     pub submitted: u64,
     /// Jobs refused by admission control.
     pub rejected: u64,
@@ -659,6 +706,40 @@ struct QueuedJob {
     /// the transport front-end so the job span tree lands in the request's
     /// own trace.
     span: Option<ActiveTrace>,
+    /// What the submit-time cache probe learned about the job.
+    probed: Probed,
+}
+
+/// The causal trace a submitted job joins (tracing on).
+enum JobSpan<'a> {
+    /// The transport front-end's live request trace.
+    Live(ActiveTrace),
+    /// The job's own trace, begun at submit: it goes live when the job is
+    /// queued, or when sampling would keep a cache hit's trace.
+    Begun(TraceStart<'a>),
+}
+
+impl JobSpan<'_> {
+    fn live(self) -> ActiveTrace {
+        match self {
+            JobSpan::Live(active) => active,
+            JobSpan::Begun(start) => start.activate(),
+        }
+    }
+}
+
+/// What the submit-time cache probe hands a queued job's worker.
+enum Probed {
+    /// Nothing: a journal replay, or a problem that failed validation. The
+    /// worker starts from the request.
+    Nothing,
+    /// The validated problem and its fingerprint: the cache missed at
+    /// submit, so the worker looks again without fingerprinting again.
+    Missed(HTuningProblem, PlanFingerprint),
+    /// The tenant's model panicked in the probe. The worker re-raises the
+    /// payload inside its own `catch_unwind`, so the job fails exactly as a
+    /// panicking solve does — `WorkerDeath` included.
+    Panicked(Box<dyn Any + Send>),
 }
 
 /// What [`TuningService::recover`] found and replayed. Read with
@@ -1017,8 +1098,28 @@ impl TuningService {
             });
             // `journaled: true` — completion (or terminal failure) must
             // retire the on-disk record.
-            let span = service.start_job_trace(None);
-            match service.enqueue_job(job.job_id, request, true, 0, None, span) {
+            let (respond, receiver) = mpsc::channel();
+            let replay = QueuedJob {
+                id: job.job_id,
+                trace: service.label_trace(
+                    job.job_id,
+                    &request,
+                    JobTrace {
+                        admitted_ns: service.telemetry.now_ns(),
+                        ..JobTrace::default()
+                    },
+                ),
+                request,
+                journaled: true,
+                respond,
+                notify: NotifyOnce {
+                    job_id: job.job_id,
+                    hook: None,
+                },
+                span: service.begin_job_trace(None).map(JobSpan::live),
+                probed: Probed::Nothing,
+            };
+            match service.enqueue_job(replay, receiver) {
                 Ok(_handle) => replayed += 1,
                 Err(_) => dropped += 1,
             }
@@ -1032,12 +1133,14 @@ impl TuningService {
     }
 
     /// Submits a job; returns immediately with a handle (or an admission
-    /// error under back-pressure). With a durable store attached, accepted
-    /// jobs whose rate model is serializable are journaled for crash
-    /// recovery.
+    /// error under back-pressure). An exact cache hit is answered before the
+    /// queue: its handle already holds the plan, it takes no queue slot (so
+    /// the depth bounds of [`AdmissionPolicy`] never refuse it) and it is
+    /// not journaled. A draining service refuses hits too. With a durable
+    /// store attached, other accepted jobs whose rate model is serializable
+    /// are journaled for crash recovery.
     pub fn submit(&self, request: JobRequest) -> Result<JobHandle, ServeError> {
-        let trace = self.start_job_trace(None);
-        self.submit_inner(request, None, trace)
+        self.submit_inner(request, None, self.begin_job_trace(None))
     }
 
     /// [`TuningService::submit`] under an explicit trace context: the job's
@@ -1050,8 +1153,7 @@ impl TuningService {
         request: JobRequest,
         context: Option<TraceContext>,
     ) -> Result<JobHandle, ServeError> {
-        let trace = self.start_job_trace(context);
-        self.submit_inner(request, None, trace)
+        self.submit_inner(request, None, self.begin_job_trace(context))
     }
 
     /// Like [`TuningService::submit`], but additionally registers a
@@ -1065,13 +1167,17 @@ impl TuningService {
     /// reports [`ServeError::WorkerGone`] — so an event loop is never left
     /// waiting on a notification that cannot come. The hook runs on a
     /// worker (or teardown) thread: it must be cheap and must not block.
+    ///
+    /// A job answered at submit — an exact cache hit, reported by
+    /// [`JobHandle::answered_at_submit`] — never fires the hook: its outcome
+    /// is readable as soon as this returns, so the front-end answers it
+    /// without parking.
     pub fn submit_with_notify(
         &self,
         request: JobRequest,
         notify: CompletionNotify,
     ) -> Result<JobHandle, ServeError> {
-        let trace = self.start_job_trace(None);
-        self.submit_inner(request, Some(notify), trace)
+        self.submit_inner(request, Some(notify), self.begin_job_trace(None))
     }
 
     /// The fully-observed submit: an optional completion hook plus an
@@ -1086,25 +1192,28 @@ impl TuningService {
         notify: Option<CompletionNotify>,
         trace: Option<ActiveTrace>,
     ) -> Result<JobHandle, ServeError> {
-        let trace = trace.or_else(|| self.start_job_trace(None));
+        let trace = match trace {
+            Some(active) => Some(JobSpan::Live(active)),
+            None => self.begin_job_trace(None),
+        };
         self.submit_inner(request, notify, trace)
     }
 
-    /// Mints the job's [`ActiveTrace`] when tracing is on: fresh ids (and
-    /// the every-Nth head-sampling decision), or the caller's ids when an
+    /// Begins the job's own trace when tracing is on: the every-Nth
+    /// head-sampling decision, or the caller's ids and sampled flag when an
     /// explicit context is handed in.
-    fn start_job_trace(&self, context: Option<TraceContext>) -> Option<ActiveTrace> {
+    fn begin_job_trace(&self, context: Option<TraceContext>) -> Option<JobSpan<'_>> {
         self.telemetry
             .tracer
             .as_ref()
-            .map(|tracer| tracer.start_trace("job.submit", context))
+            .map(|tracer| JobSpan::Begun(tracer.begin_trace("job.submit", context)))
     }
 
     fn submit_inner(
         &self,
         request: JobRequest,
         notify: Option<CompletionNotify>,
-        span: Option<ActiveTrace>,
+        span: Option<JobSpan<'_>>,
     ) -> Result<JobHandle, ServeError> {
         // A draining service sheds at the door — before journaling, so the
         // refusal costs neither a journal record nor its retirement.
@@ -1123,15 +1232,28 @@ impl TuningService {
                 self.markets.names().join(", ")
             ))));
         }
-        let id = self.next_job_id.fetch_add(1, Ordering::Relaxed);
-        // Stamp admission only when a journal write will separate admission
-        // from queue insertion; otherwise `enqueue_job` stamps both stages
-        // with one clock read (stamp 0 means "take it at enqueue").
-        let admitted_ns = if self.store.is_some() {
-            self.telemetry.now_ns()
-        } else {
-            0
+        // A trace the service began stamped the submit already (on the
+        // same clock).
+        let admitted_ns = match &span {
+            Some(JobSpan::Begun(start)) => start.start_ns(),
+            _ => self.telemetry.now_ns(),
         };
+        let mut stamps = JobTrace {
+            admitted_ns,
+            ..JobTrace::default()
+        };
+        // Exact cache hits are answered here, before any id, journal record
+        // or queue slot is spent. The probe runs tenant code (the
+        // fingerprint samples the rate model), so it runs under
+        // `catch_unwind`; anything but a clean hit — a miss, an invalid
+        // problem, a panic — is queued exactly as before and fails or
+        // succeeds on the worker.
+        let probed = match catch_unwind(AssertUnwindSafe(|| self.probe(&request, &mut stamps))) {
+            Ok(Ok(plan)) => return Ok(self.answer_hit(&request, plan, stamps, span)),
+            Ok(Err(probed)) => probed,
+            Err(payload) => Probed::Panicked(payload),
+        };
+        let id = self.next_job_id.fetch_add(1, Ordering::Relaxed);
         // Journal *before* enqueueing so an accepted job can never be lost
         // between the queue and the journal; a rejected submission retires
         // its record immediately. (The journal and the completion share one
@@ -1169,7 +1291,21 @@ impl TuningService {
         } else {
             false
         };
-        match self.enqueue_job(id, request, journaled, admitted_ns, notify, span) {
+        let (respond, receiver) = mpsc::channel();
+        let job = QueuedJob {
+            id,
+            trace: self.label_trace(id, &request, stamps),
+            request,
+            journaled,
+            respond,
+            notify: NotifyOnce {
+                job_id: id,
+                hook: notify,
+            },
+            span: span.map(JobSpan::live),
+            probed,
+        };
+        match self.enqueue_job(job, receiver) {
             Ok(handle) => Ok(handle),
             Err(e) => {
                 if journaled {
@@ -1182,61 +1318,107 @@ impl TuningService {
         }
     }
 
+    /// The submit-time cache probe: `Ok` with the plan on an exact hit,
+    /// otherwise what the worker starts from. Counts only a hit — on a miss
+    /// the worker's own lookup counts (and catches a plan solved meanwhile
+    /// by an identical job queued ahead). Runs tenant code, so the caller
+    /// wraps it in `catch_unwind`.
+    fn probe(&self, request: &JobRequest, stamps: &mut JobTrace) -> Result<Arc<TunedPlan>, Probed> {
+        let Ok((problem, fingerprint)) = problem_key(request) else {
+            return Err(Probed::Nothing);
+        };
+        cached_plan(
+            &self.cache,
+            PlanCache::probe,
+            &problem,
+            request.strategy,
+            fingerprint,
+            &self.telemetry,
+            stamps,
+        )
+        .ok_or(Probed::Missed(problem, fingerprint))
+    }
+
+    /// Answers an exact cache hit on the submitting thread: the handle holds
+    /// the plan, the completion hook is dropped unfired, and the job's trace
+    /// is folded here. `submitted` counts before `cache_hits`, as on the
+    /// queued path.
+    fn answer_hit(
+        &self,
+        request: &JobRequest,
+        plan: Arc<TunedPlan>,
+        stamps: JobTrace,
+        span: Option<JobSpan<'_>>,
+    ) -> JobHandle {
+        let id = self.next_job_id.fetch_add(1, Ordering::Relaxed);
+        self.metrics.submitted.inc();
+        self.metrics.cache_hits.inc();
+        if self.telemetry.enabled {
+            // No queue: a zero-length wait at admission, then the lookup,
+            // whose end completes the job.
+            let trace = JobTrace {
+                enqueued_ns: stamps.admitted_ns,
+                dequeued_ns: stamps.admitted_ns,
+                completed_ns: stamps.estimate_end_ns,
+                status: "ok",
+                ..self.label_trace(id, request, stamps)
+            };
+            // A trace the service began goes live only if sampling would
+            // keep it; otherwise its spans are accounted, not built.
+            let span = match span {
+                Some(JobSpan::Begun(start)) if !start.would_keep(trace.completed_ns) => {
+                    start.discard(1 + trace.span_count());
+                    None
+                }
+                span => span.map(JobSpan::live),
+            };
+            self.telemetry.finish_job(trace, span.as_ref());
+        }
+        let served = ServedPlan {
+            job_id: id,
+            plan,
+            source: PlanSource::CacheHit,
+        };
+        JobHandle::new(id, Delivery::Answered(RefCell::new(Some(served))))
+    }
+
+    /// Labels a job's stamps with its id, tenant and market. Empty when
+    /// telemetry is off.
+    fn label_trace(&self, id: u64, request: &JobRequest, stamps: JobTrace) -> JobTrace {
+        if !self.telemetry.enabled {
+            return JobTrace::default();
+        }
+        JobTrace {
+            job_id: id,
+            tenant: request.tenant.clone(),
+            market: self
+                .markets
+                .name_of(request.market)
+                .unwrap_or_default()
+                .to_owned(),
+            ..stamps
+        }
+    }
+
     /// Queue insertion shared by [`TuningService::submit`] and journal
-    /// replay (which must not re-journal its `Submitted` record).
+    /// replay: stamps the enqueue, then counts `submitted` under the queue
+    /// lock, before a worker can see the job, so no worker's answer is ever
+    /// counted first.
     fn enqueue_job(
         &self,
-        id: u64,
-        request: JobRequest,
-        journaled: bool,
-        admitted_ns: u64,
-        notify: Option<CompletionNotify>,
-        span: Option<ActiveTrace>,
+        mut job: QueuedJob,
+        receiver: mpsc::Receiver<Result<ServedPlan, ServeError>>,
     ) -> Result<JobHandle, ServeError> {
-        let (sender, receiver) = mpsc::channel();
-        let tenant = request.tenant.clone();
-        let trace = if self.telemetry.enabled {
-            let enqueued_ns = self.telemetry.now_ns();
-            JobTrace {
-                job_id: id,
-                tenant: tenant.clone(),
-                market: self
-                    .markets
-                    .name_of(request.market)
-                    .unwrap_or_default()
-                    .to_owned(),
-                admitted_ns: if admitted_ns != 0 {
-                    admitted_ns
-                } else {
-                    enqueued_ns
-                },
-                enqueued_ns,
-                ..JobTrace::default()
-            }
-        } else {
-            JobTrace::default()
-        };
-        let job = QueuedJob {
-            id,
-            request,
-            journaled,
-            respond: sender,
-            notify: NotifyOnce {
-                job_id: id,
-                hook: notify,
-            },
-            trace,
-            span,
-        };
-        match self.queue.submit(&tenant, job) {
-            Ok(()) => {
-                self.metrics.submitted.inc();
-                Ok(JobHandle {
-                    job_id: id,
-                    receiver,
-                    delivered: Cell::new(false),
-                })
-            }
+        if self.telemetry.enabled {
+            job.trace.enqueued_ns = self.telemetry.now_ns();
+        }
+        let id = job.id;
+        let tenant = job.request.tenant.clone();
+        match self
+            .queue
+            .submit(&tenant, job, || self.metrics.submitted.inc())
+        {
+            Ok(()) => Ok(JobHandle::new(id, Delivery::Queued(receiver))),
             Err(e) => {
                 self.metrics.rejected.inc();
                 Err(e.into())
@@ -1572,6 +1754,7 @@ fn worker_loop(ctx: &WorkerContext) {
             mut notify,
             mut trace,
             span,
+            probed,
         } = job;
         trace.dequeued_ns = telemetry.now_ns();
         // Log records emitted while this job solves are stamped with its
@@ -1585,7 +1768,7 @@ fn worker_loop(ctx: &WorkerContext) {
         // the model is validated inside `serve_timed`), so unwinding here
         // cannot poison shared state — hence the `AssertUnwindSafe`.
         let solved = catch_unwind(AssertUnwindSafe(|| {
-            serve_one(cache, families, &request, telemetry, &mut trace)
+            serve_one(cache, families, &request, probed, telemetry, &mut trace)
         }));
         let (outcome, fatal) = match solved {
             Ok(outcome) => (outcome, false),
@@ -1695,10 +1878,7 @@ fn worker_loop(ctx: &WorkerContext) {
         if telemetry.enabled {
             trace.status = status;
             trace.completed_ns = telemetry.now_ns();
-            if let Some(active) = &span {
-                trace.record_spans(active);
-            }
-            telemetry.record_job(trace);
+            telemetry.finish_job(trace, span.as_ref());
         }
         // Dropping `span` here may complete the trace (unless the store
         // writer still holds the persist-probe clone).
@@ -1748,35 +1928,71 @@ fn stamp_solved(
     trace.source = SOURCE_LABELS[source_index(source)];
 }
 
-fn serve_one(
-    cache: &PlanCache,
-    families: &PlanFamilies,
-    request: &JobRequest,
-    telemetry: &Telemetry,
-    trace: &mut JobTrace,
-) -> Result<(Arc<TunedPlan>, PlanSource, PlanFingerprint), ServeError> {
+/// Validates the job's problem and computes its exact-match cache key.
+/// Fingerprints fold the market in (default-market keys hash exactly as the
+/// pre-market scheme), so plans and families solved against market A can
+/// never answer market B. Samples the tenant's rate model.
+fn problem_key(request: &JobRequest) -> Result<(HTuningProblem, PlanFingerprint), CoreError> {
     let problem = HTuningProblem::new(
         request.task_set.clone(),
         request.budget,
         request.rate_model.clone(),
-    )
-    .map_err(ServeError::Tuning)?;
-    // Fingerprints fold the market in (default-market keys hash exactly as
-    // the pre-market scheme), so plans and families solved against market A
-    // can never answer market B.
+    )?;
     let fingerprint = PlanFingerprint::of_market(&problem, request.strategy, request.market);
+    Ok((problem, fingerprint))
+}
+
+/// The exact-match lookup shared by the submit-time probe
+/// (`lookup` = [`PlanCache::probe`]) and the worker ([`PlanCache::get`]):
+/// stamps the solve window and the labels of a hit on `trace`.
+fn cached_plan(
+    cache: &PlanCache,
+    lookup: fn(&PlanCache, PlanFingerprint) -> Option<Arc<TunedPlan>>,
+    problem: &HTuningProblem,
+    strategy: StrategyChoice,
+    fingerprint: PlanFingerprint,
+    telemetry: &Telemetry,
+    trace: &mut JobTrace,
+) -> Option<Arc<TunedPlan>> {
     trace.solve_start_ns = telemetry.now_ns();
-    if let Some(plan) = cache.get(fingerprint) {
-        if telemetry.enabled {
-            // No estimate step runs on a cache hit: estimate-end == solve-end.
-            stamp_solved(
-                trace,
-                telemetry,
-                resolved_scenario(&problem, request.strategy),
-                PlanSource::CacheHit,
-                0,
-            );
-        }
+    let plan = lookup(cache, fingerprint)?;
+    if telemetry.enabled {
+        // No estimate step runs on a cache hit: estimate-end == solve-end.
+        stamp_solved(
+            trace,
+            telemetry,
+            resolved_scenario(problem, strategy),
+            PlanSource::CacheHit,
+            0,
+        );
+    }
+    Some(plan)
+}
+
+fn serve_one(
+    cache: &PlanCache,
+    families: &PlanFamilies,
+    request: &JobRequest,
+    probed: Probed,
+    telemetry: &Telemetry,
+    trace: &mut JobTrace,
+) -> Result<(Arc<TunedPlan>, PlanSource, PlanFingerprint), ServeError> {
+    let (problem, fingerprint) = match probed {
+        Probed::Missed(problem, fingerprint) => (problem, fingerprint),
+        Probed::Panicked(payload) => std::panic::resume_unwind(payload),
+        Probed::Nothing => problem_key(request).map_err(ServeError::Tuning)?,
+    };
+    // A miss at submit is looked up again: an identical job queued ahead
+    // may have solved it since.
+    if let Some(plan) = cached_plan(
+        cache,
+        PlanCache::get,
+        &problem,
+        request.strategy,
+        fingerprint,
+        telemetry,
+        trace,
+    ) {
         return Ok((plan, PlanSource::CacheHit, fingerprint));
     }
     // RA-resolved jobs route through the family layer: a resident family
@@ -2060,6 +2276,132 @@ mod tests {
         service.shutdown();
     }
 
+    /// An exact repeat is answered on the submitting thread: the handle
+    /// already holds the very plan the cold solve produced, no queue slot
+    /// is taken, the counters move by exactly one job and one hit, and the
+    /// completion hook is released unfired — no thread holds it afterwards.
+    #[test]
+    fn cache_hits_are_answered_at_submit_without_hook_or_queue() {
+        let service = TuningService::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let first = service.tune(request("acme", 5, 60)).unwrap();
+        assert_eq!(first.source, PlanSource::ColdSolve);
+        let metrics = service.metrics();
+        let cache = service.cache_stats();
+
+        let fired = Arc::new(AtomicUsize::new(0));
+        let hook_fired = fired.clone();
+        let handle = service
+            .submit_with_notify(
+                request("globex", 5, 60),
+                Arc::new(move |_| {
+                    hook_fired.fetch_add(1, Ordering::SeqCst);
+                }),
+            )
+            .unwrap();
+        assert!(handle.answered_at_submit());
+        let served = handle
+            .try_result()
+            .expect("a hit is readable as soon as submit returns")
+            .unwrap();
+        assert_eq!(served.job_id, handle.job_id);
+        assert_eq!(served.source, PlanSource::CacheHit);
+        assert!(Arc::ptr_eq(&served.plan, &first.plan));
+        assert!(matches!(
+            handle.try_result(),
+            Some(Err(ServeError::WorkerGone))
+        ));
+        assert_eq!(service.pending(), 0);
+        assert_eq!(
+            fired.load(Ordering::SeqCst),
+            0,
+            "a hit never fires its hook"
+        );
+        assert_eq!(Arc::strong_count(&fired), 1, "and no thread keeps it");
+
+        let after = service.metrics();
+        assert_eq!(after.submitted, metrics.submitted + 1);
+        assert_eq!(after.cache_hits, metrics.cache_hits + 1);
+        assert_eq!(after.completed(), metrics.completed() + 1);
+        let cache_after = service.cache_stats();
+        assert_eq!(cache_after.hits, cache.hits + 1);
+        assert_eq!(cache_after.misses, cache.misses, "one lookup per job");
+        service.shutdown();
+    }
+
+    /// Queued jobs keep the hook contract — it fires exactly once, after
+    /// the outcome is readable — while a hit in between never fires its own.
+    #[test]
+    fn only_queued_jobs_fire_their_completion_hook() {
+        let service = TuningService::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let (tx, rx) = mpsc::channel::<u64>();
+        let hook = move || -> CompletionNotify {
+            let tx = std::sync::Mutex::new(tx.clone());
+            Arc::new(move |job_id| {
+                let _ = tx.lock().unwrap().send(job_id);
+            })
+        };
+        let wait_for_hook = || {
+            rx.recv_timeout(Duration::from_secs(10))
+                .expect("a queued job's hook fires")
+        };
+        let cold = service
+            .submit_with_notify(request("acme", 5, 60), hook())
+            .unwrap();
+        assert!(!cold.answered_at_submit());
+        assert_eq!(wait_for_hook(), cold.job_id);
+        assert!(cold.try_result().unwrap().is_ok());
+
+        let hit = service
+            .submit_with_notify(request("acme", 5, 60), hook())
+            .unwrap();
+        assert!(hit.answered_at_submit());
+
+        let other = service
+            .submit_with_notify(request("acme", 6, 60), hook())
+            .unwrap();
+        assert!(!other.answered_at_submit());
+        assert_eq!(wait_for_hook(), other.job_id, "the hit fired no hook");
+        assert_eq!(other.try_result().unwrap().unwrap().job_id, other.job_id);
+        service.shutdown();
+        assert!(rx.try_recv().is_err(), "each hook fires exactly once");
+        assert_eq!(hit.wait().unwrap().source, PlanSource::CacheHit);
+    }
+
+    /// Hits write nothing durable: on a durable service, repeats of a solved
+    /// job enqueue no store record — no journal pair, no plan.
+    #[test]
+    fn cache_hits_enqueue_no_store_records() {
+        let dir =
+            std::env::temp_dir().join(format!("crowdtune-service-hits-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = TuningService::recover(
+            ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+            &dir,
+        )
+        .unwrap();
+        service.tune(request("acme", 5, 60)).unwrap();
+        // The worker enqueues the plan and the journal's `Completed` record
+        // before it responds.
+        let enqueued = service.store_stats().unwrap().enqueued;
+        for _ in 0..1000 {
+            let served = service.tune(request("acme", 5, 60)).unwrap();
+            assert_eq!(served.source, PlanSource::CacheHit);
+        }
+        assert_eq!(service.store_stats().unwrap().enqueued, enqueued);
+        assert_eq!(service.metrics().cache_hits, 1000);
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// `begin_drain` refuses new work with `Closed` (no journal churn) while
     /// already-accepted jobs still resolve.
     #[test]
@@ -2130,10 +2472,12 @@ mod tests {
         // Flood faster than one worker can drain; eventually a submission
         // must bounce. (With a single worker and depth 1 the third rapid
         // submission is practically guaranteed to find the queue full.)
+        // Distinct budgets: a repeat would be a cache hit, answered at
+        // submit without a queue slot.
         let mut handles = Vec::new();
         let mut rejected = false;
-        for _ in 0..64 {
-            match service.submit(request("acme", 40, 400)) {
+        for i in 0..64 {
+            match service.submit(request("acme", 40, 400 + i)) {
                 Ok(h) => handles.push(h),
                 Err(ServeError::Admission(_)) => {
                     rejected = true;

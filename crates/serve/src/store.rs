@@ -107,7 +107,8 @@ pub struct FamilyRecord {
 /// later must follow the same absent-tolerant pattern.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum JournalRecord {
-    /// A job was accepted into the queue. Jobs whose rate model has no
+    /// A job was accepted into the queue. Exact cache hits, answered at
+    /// submit, are never journaled. Jobs whose rate model has no
     /// [`RateSpec`] of its own are journaled with a sampled tabulated
     /// fallback (see the service's submit path).
     Submitted {
