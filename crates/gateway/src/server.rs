@@ -59,7 +59,7 @@
 //! answered by the service at submit, so the reactor renders its response in
 //! the same turn that parsed the request — no hook, no waker, no second
 //! turn. Any other job goes to the tuner pool with a completion hook
-//! ([`TuningService::submit_with_notify`]) that wakes the owning reactor
+//! ([`TuningService::submit_observed`]) that wakes the owning reactor
 //! when the outcome is readable, and the response is rendered then.
 //! Pipelined requests behind a dispatched one wait in the read buffer so
 //! responses keep request order.
@@ -1530,75 +1530,51 @@ fn post_job(
     // The trace handle is *cloned* into the serve layer: the job's spans
     // (queue wait, solve, store persist) land in this same tree, and the
     // trace flushes when the last handle drops — after persist, off the
-    // submitter's latency path.
+    // submitter's latency path. A waiting submit also hands over a
+    // completion hook; the reactor renders the response when it fires. The
+    // connection parks — no thread does.
     let dispatch_start = trace.as_ref().map(|active| active.now_ns());
-    if wait {
-        // Waiting mode: hand the job to the tuner pool with a completion
-        // hook; the reactor renders the response when it fires. The
-        // connection parks — no thread does.
-        match state
-            .service
-            .submit_observed(job, Some(notify()), trace.clone())
-        {
-            Ok(handle) => {
-                if let Some(active) = &trace {
-                    active.span_with(
-                        "gateway.dispatch",
-                        None,
-                        dispatch_start.unwrap_or(0),
-                        active.now_ns(),
-                        SpanStatus::Ok,
-                        vec![("job_id", AttrValue::U64(handle.job_id))],
-                    );
-                }
-                if handle.answered_at_submit() {
-                    // An exact cache hit: answered in this reactor turn. Its
-                    // hook never fires, so the connection must not park.
-                    return finish_post(&trace, &echo, settle(state, handle));
-                }
-                PostOutcome::Dispatched {
-                    handle,
-                    traceparent: echo,
-                }
-            }
-            Err(e) => {
-                gateway_span(&trace, "gateway.dispatch", dispatch_start, false);
-                finish_post(&trace, &echo, serve_error_response(&e))
-            }
+    let handle = match state
+        .service
+        .submit_observed(job, wait.then(notify), trace.clone())
+    {
+        Ok(handle) => handle,
+        Err(e) => {
+            gateway_span(&trace, "gateway.dispatch", dispatch_start, false);
+            return finish_post(&trace, &echo, serve_error_response(&e));
         }
-    } else {
-        let handle = match state.service.submit_observed(job, None, trace.clone()) {
-            Ok(handle) => handle,
-            Err(e) => {
-                gateway_span(&trace, "gateway.dispatch", dispatch_start, false);
-                return finish_post(&trace, &echo, serve_error_response(&e));
-            }
+    };
+    let job_id = handle.job_id;
+    if let Some(active) = &trace {
+        active.span_with(
+            "gateway.dispatch",
+            None,
+            dispatch_start.unwrap_or(0),
+            active.now_ns(),
+            SpanStatus::Ok,
+            vec![("job_id", AttrValue::U64(job_id))],
+        );
+    }
+    if !wait {
+        state
+            .jobs
+            .lock()
+            .expect("gateway job registry poisoned")
+            .store_pending(job_id, handle);
+        let body = SubmittedBody {
+            job_id,
+            status: "pending".to_owned(),
         };
-        let job_id = handle.job_id;
-        if let Some(active) = &trace {
-            active.span_with(
-                "gateway.dispatch",
-                None,
-                dispatch_start.unwrap_or(0),
-                active.now_ns(),
-                SpanStatus::Ok,
-                vec![("job_id", AttrValue::U64(job_id))],
-            );
-        }
-        let mut jobs = state.jobs.lock().expect("gateway job registry poisoned");
-        jobs.store_pending(job_id, handle);
-        drop(jobs);
-        finish_post(
-            &trace,
-            &echo,
-            json_response(
-                202,
-                &SubmittedBody {
-                    job_id,
-                    status: "pending".to_owned(),
-                },
-            ),
-        )
+        return finish_post(&trace, &echo, json_response(202, &body));
+    }
+    if handle.answered_at_submit() {
+        // An exact cache hit: answered in this reactor turn. Its hook never
+        // fires, so the connection must not park.
+        return finish_post(&trace, &echo, settle(state, handle));
+    }
+    PostOutcome::Dispatched {
+        handle,
+        traceparent: echo,
     }
 }
 

@@ -6,16 +6,16 @@
 //! thousands of idle keep-alive connections held open without starving a
 //! fresh submit.
 
-use crowdtune_core::rate::{LinearRate, RateSpec};
+use crowdtune_core::rate::{LinearRate, RateModel, RateSpec};
 use crowdtune_core::task::TaskGroupSpec;
 use crowdtune_core::tuner::{StrategyChoice, Tuner};
 use crowdtune_gateway::{AuthConfig, Gateway, GatewayConfig, JobRequestWire, QuotaConfig};
-use crowdtune_serve::{ServiceConfig, TuningService};
+use crowdtune_serve::{AdmissionPolicy, JobRequest, ServiceConfig, TuningService};
 use serde::Value;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// One parsed HTTP response, including the `Retry-After` header when the
@@ -801,5 +801,228 @@ fn pipelined_cache_hits_and_misses_answer_in_order() {
     poll_done(&mut client, job_id);
     let polled = client.request("GET", &format!("/v1/jobs/{job_id}"), None);
     assert_eq!(as_str(field(&polled.json(), "source")), "cache");
+    gateway.shutdown();
+}
+
+/// The plan an independent solve of `ra_wire(_, budget)` gives, as JSON.
+fn reference_plan(budget: u64) -> String {
+    let job = ra_wire("reference", budget).to_request(1_000_000).unwrap();
+    let plan = Tuner::new(job.rate_model)
+        .with_strategy(job.strategy)
+        .plan(job.task_set, job.budget)
+        .unwrap();
+    serde_json::to_string(&plan).unwrap()
+}
+
+/// The value of attribute `key` on a span of a `GET /v1/debug/traces/{id}`
+/// body.
+fn span_attr<'v>(span: &'v Value, key: &str) -> Option<&'v str> {
+    match field(span, "attrs") {
+        Value::Arr(attrs) => attrs
+            .iter()
+            .find(|attr| as_str(field(attr, "key")) == key)
+            .map(|attr| as_str(field(attr, "value"))),
+        other => panic!("attrs is not an array: {other:?}"),
+    }
+}
+
+/// A cache hit under a live request trace. The hit is answered, and its
+/// trace completes, in the reactor turn that parsed it: a sampled trace is
+/// queryable as soon as the response arrives, with the gateway stages and
+/// the job's `job` (source `cache`), `queue.wait` and `solve` spans. An
+/// unsampled one is never stored, and all 7 of its spans count as dropped.
+#[test]
+fn traced_cache_hits_complete_before_their_response() {
+    let (_service, gateway) = start_gateway(GatewayConfig::default());
+    let mut client = Client::connect(gateway.local_addr());
+    let warm = client.request("POST", "/v1/jobs?wait=1", Some(&wire_body("acme", 80)));
+    assert_eq!(warm.status, 200, "{}", warm.body);
+
+    let sampled = "4bf92f3577b34da6a3ce929d0e0e4736";
+    let traceparent = format!("00-{sampled}-00f067aa0ba902b7-01");
+    let hit = client.request_with(
+        "POST",
+        "/v1/jobs?wait=1",
+        &[("traceparent", traceparent.as_str())],
+        Some(&wire_body("acme", 80)),
+    );
+    assert_eq!(hit.status, 200, "{}", hit.body);
+    assert_eq!(as_str(field(&hit.json(), "source")), "cache");
+    let tree = client.request("GET", &format!("/v1/debug/traces/{sampled}"), None);
+    assert_eq!(tree.status, 200, "trace not stored yet: {}", tree.body);
+    let tree = tree.json();
+    let spans = match field(&tree, "spans") {
+        Value::Arr(spans) => spans,
+        other => panic!("spans is not an array: {other:?}"),
+    };
+    let names: Vec<&str> = spans
+        .iter()
+        .map(|span| as_str(field(span, "name")))
+        .collect();
+    for expected in [
+        "http.request",
+        "gateway.parse",
+        "gateway.auth",
+        "gateway.dispatch",
+        "job",
+        "queue.wait",
+        "solve",
+    ] {
+        assert!(names.contains(&expected), "no {expected} span in {names:?}");
+    }
+    let job = spans
+        .iter()
+        .find(|span| as_str(field(span, "name")) == "job")
+        .unwrap();
+    assert_eq!(span_attr(job, "source"), Some("cache"));
+
+    let dropped = |client: &mut Client| {
+        prom_value(&scrape(client), "crowdtune_spans_dropped_total", "")
+            .expect("dropped-span counter exported")
+    };
+    let dropped_before = dropped(&mut client);
+    let unsampled = "0af7651916cd43dd8448eb211c80319c";
+    let traceparent = format!("00-{unsampled}-b7ad6b7169203331-00");
+    let hit = client.request_with(
+        "POST",
+        "/v1/jobs?wait=1",
+        &[("traceparent", traceparent.as_str())],
+        Some(&wire_body("acme", 80)),
+    );
+    assert_eq!(hit.status, 200, "{}", hit.body);
+    assert_eq!(as_str(field(&hit.json(), "source")), "cache");
+    let missing = client.request("GET", &format!("/v1/debug/traces/{unsampled}"), None);
+    assert_eq!(missing.status, 404, "{}", missing.body);
+    assert_eq!(
+        dropped(&mut client) - dropped_before,
+        7,
+        "http.request, gateway.{{parse,auth,dispatch}}, job, queue.wait, solve"
+    );
+    gateway.shutdown();
+}
+
+/// Open/closed gate for [`ParkingRate`].
+#[derive(Default)]
+struct Gate {
+    /// (a worker is parked at the gate, the gate is open)
+    state: Mutex<(bool, bool)>,
+    changed: Condvar,
+}
+
+impl Gate {
+    fn wait_parked(&self) {
+        let state = self.state.lock().unwrap();
+        let (state, timeout) = self
+            .changed
+            .wait_timeout_while(state, Duration::from_secs(10), |(parked, _)| !*parked)
+            .unwrap();
+        assert!(state.0 && !timeout.timed_out(), "no worker parked");
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.changed.notify_all();
+    }
+}
+
+/// Opens its gate when dropped, so a test that panics cannot leave a
+/// worker parked and block the service's shutdown.
+struct OpenOnDrop(Arc<Gate>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.open();
+    }
+}
+
+/// `ra_wire`'s rate model, except that a tuner worker solving with it
+/// parks at the gate until the gate opens. Only `tuner-worker-*` threads
+/// park: the submit-time cache probe runs on the submitting thread.
+struct ParkingRate {
+    gate: Arc<Gate>,
+    rate: LinearRate,
+}
+
+impl RateModel for ParkingRate {
+    fn on_hold_rate(&self, payment_units: f64) -> f64 {
+        let thread = std::thread::current();
+        if thread
+            .name()
+            .is_some_and(|name| name.starts_with("tuner-worker-"))
+        {
+            let mut state = self.gate.state.lock().unwrap();
+            state.0 = true;
+            self.gate.changed.notify_all();
+            while !state.1 {
+                state = self.gate.changed.wait(state).unwrap();
+            }
+        }
+        self.rate.on_hold_rate(payment_units)
+    }
+
+    fn curve_fingerprint(&self) -> u64 {
+        0x7061_726b_696e_6721
+    }
+}
+
+/// A submit the queue refuses must not wake the reactor for the job
+/// pipelined behind it. The one worker is parked, tenant `blocked` already
+/// has its one queued job, and two `?wait=1` submits arrive in one write:
+/// `blocked` answers `429`, and `free` waits for its plan and answers `200`
+/// rather than a premature `503 shutdown`.
+#[test]
+fn refused_submit_leaves_the_pipelined_job_behind_it_pending() {
+    let service = Arc::new(TuningService::start(ServiceConfig {
+        workers: 1,
+        admission: AdmissionPolicy {
+            max_pending: 16,
+            max_pending_per_tenant: 1,
+        },
+        ..ServiceConfig::default()
+    }));
+    let gateway = Gateway::start(service.clone(), "127.0.0.1:0", GatewayConfig::default())
+        .expect("bind gateway");
+    let gate = Arc::new(Gate::default());
+    let _release = OpenOnDrop(gate.clone());
+    let parked = service
+        .submit(JobRequest {
+            rate_model: Arc::new(ParkingRate {
+                gate: gate.clone(),
+                rate: LinearRate::new(1.5, 0.5).unwrap(),
+            }),
+            ..ra_wire("parked", 80).to_request(1_000_000).unwrap()
+        })
+        .expect("parked job admitted");
+    gate.wait_parked();
+    let queued = service
+        .submit(ra_wire("blocked", 81).to_request(1_000_000).unwrap())
+        .expect("tenant blocked's one job admitted");
+
+    let mut client = Client::connect(gateway.local_addr());
+    let write: String = [("blocked", 82), ("free", 83)]
+        .iter()
+        .map(|&(tenant, budget)| {
+            request_text(
+                "POST",
+                "/v1/jobs?wait=1",
+                &[],
+                Some(&wire_body(tenant, budget)),
+            )
+        })
+        .collect();
+    client.stream.write_all(write.as_bytes()).expect("send");
+    let refused = client.read_response().expect("blocked's response");
+    // Release the worker, so `free`'s job runs after the two ahead of it.
+    gate.open();
+    let answered = client.read_response().expect("free's response");
+    assert_eq!(refused.status, 429, "{}", refused.body);
+    assert_eq!(refused.error_code(), "tenant_over_limit");
+    assert_eq!(answered.status, 200, "{}", answered.body);
+    assert_eq!(
+        serde_json::to_string(field(&answered.json(), "plan")).unwrap(),
+        reference_plan(83)
+    );
+    assert!(parked.wait().is_ok());
+    assert!(queued.wait().is_ok());
     gateway.shutdown();
 }

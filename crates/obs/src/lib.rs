@@ -12,8 +12,8 @@
 //!   *back* existing stats structs so a legacy snapshot and a Prometheus
 //!   scrape read the same cells.
 //! * [`Registry`] — named metric families rendered as Prometheus text
-//!   exposition v0.0.4 or JSON, in registration order (which is the
-//!   mechanism for cross-counter scrape invariants; see [`registry`]).
+//!   exposition v0.0.4, in registration order (which is the mechanism for
+//!   cross-counter scrape invariants; see [`registry`]).
 //! * [`JobTrace`] / [`SlowestRing`] — per-job stage timelines (admitted →
 //!   queued → dequeued → solve → estimate → completed) and a bounded ring
 //!   of the N slowest, powering `GET /v1/debug/slowest`.
@@ -21,9 +21,8 @@
 //!   ([`TraceContext`]), per-request span trees ([`ActiveTrace`]) with head
 //!   plus tail (slow/error) sampling, and the bounded [`SpanStore`] behind
 //!   `GET /v1/debug/traces`.
-//! * [`log`] — a leveled, rate-limited ring of structured JSON-lines
-//!   records stamped with the active trace/span, behind
-//!   `GET /v1/debug/logs`.
+//! * [`log`] — a leveled, rate-limited ring of structured records stamped
+//!   with the active trace/span, behind `GET /v1/debug/logs`.
 //!
 //! The crate is dependency-free by design: it renders its own exposition
 //! text, so it can sit below every other crate in the workspace.

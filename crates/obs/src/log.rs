@@ -1,11 +1,10 @@
 //! Leveled, rate-limited, trace-correlated structured logging.
 //!
 //! A [`Logger`] is a bounded in-memory ring of structured [`LogRecord`]s,
-//! rendered as JSON lines and surfaced at `GET /v1/debug/logs`. Every
-//! record is stamped with the thread's active trace/span
-//! ([`crate::span::current_span`]), so a trace found in the span store and
-//! the log lines emitted while serving it share ids — the causal join the
-//! debug endpoints are built around.
+//! surfaced as JSON at `GET /v1/debug/logs`. Every record is stamped with
+//! the thread's active trace/span ([`crate::span::current_span`]), so a
+//! trace found in the span store and the log lines emitted while serving it
+//! share ids — the causal join the debug endpoints are built around.
 //!
 //! Emission is guarded twice:
 //!
@@ -95,52 +94,6 @@ pub struct LogRecord {
     pub span_id: Option<SpanId>,
     /// Structured key/value fields.
     pub fields: Vec<(&'static str, String)>,
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-impl LogRecord {
-    /// Renders the record as one JSON object (a JSON-lines line, no trailing
-    /// newline).
-    pub fn render_json(&self) -> String {
-        let mut out = String::with_capacity(96 + self.message.len());
-        out.push_str(&format!(
-            "{{\"ts_unix_ns\":{},\"level\":\"{}\",\"target\":\"{}\"",
-            self.ts_unix_ns,
-            self.level.as_str(),
-            self.target
-        ));
-        out.push_str(",\"message\":\"");
-        escape_into(&mut out, &self.message);
-        out.push('"');
-        if let Some(trace_id) = self.trace_id {
-            out.push_str(&format!(",\"trace_id\":\"{}\"", trace_id.to_hex()));
-        }
-        if let Some(span_id) = self.span_id {
-            out.push_str(&format!(",\"span_id\":\"{}\"", span_id.to_hex()));
-        }
-        for (key, value) in &self.fields {
-            out.push_str(&format!(",\"{key}\":\""));
-            escape_into(&mut out, value);
-            out.push('"');
-        }
-        out.push('}');
-        out
-    }
 }
 
 /// Retention and throttling policy for a [`Logger`].
@@ -378,26 +331,5 @@ mod tests {
         assert_eq!(kept[0].trace_id, Some(TraceId(0xabc)));
         assert_eq!(kept[0].span_id, Some(SpanId(0xdef)));
         assert_eq!(kept[1].trace_id, None);
-        let line = kept[0].render_json();
-        assert!(line.contains("\"trace_id\":\"00000000000000000000000000000abc\""));
-        assert!(line.contains("\"span_id\":\"0000000000000def\""));
-    }
-
-    #[test]
-    fn json_rendering_escapes() {
-        let record = LogRecord {
-            ts_unix_ns: 7,
-            level: LogLevel::Warn,
-            target: "test",
-            message: "a \"quote\"\nnewline".to_owned(),
-            trace_id: None,
-            span_id: None,
-            fields: vec![("key", "v\\al".to_owned())],
-        };
-        assert_eq!(
-            record.render_json(),
-            "{\"ts_unix_ns\":7,\"level\":\"warn\",\"target\":\"test\",\
-             \"message\":\"a \\\"quote\\\"\\nnewline\",\"key\":\"v\\\\al\"}"
-        );
     }
 }

@@ -1,5 +1,5 @@
 //! The metric [`Registry`]: named families of counters, gauges and
-//! histograms, rendered as Prometheus text exposition v0.0.4 or JSON.
+//! histograms, rendered as Prometheus text exposition v0.0.4.
 //!
 //! ## Naming and rendering contract
 //!
@@ -146,24 +146,6 @@ fn write_label_set(labels: &[(String, String)], extra: Option<(&str, &str)>, out
         out.push('"');
     }
     out.push('}');
-}
-
-fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl Registry {
@@ -348,62 +330,6 @@ impl Registry {
         }
         out
     }
-
-    /// Renders the registry as a JSON object keyed by family name, in
-    /// registration order. Histogram samples carry `count`, scaled `sum`,
-    /// and p50/p90/p99 estimates.
-    pub fn render_json(&self) -> String {
-        let families = self.families.lock().expect("registry poisoned");
-        let mut out = String::from("{");
-        for (fi, family) in families.iter().enumerate() {
-            if fi > 0 {
-                out.push(',');
-            }
-            write_json_string(&family.name, &mut out);
-            let _ = write!(out, ":{{\"type\":\"{}\",\"help\":", family.kind.as_str());
-            write_json_string(&family.help, &mut out);
-            out.push_str(",\"samples\":[");
-            for (ci, child) in family.children.iter().enumerate() {
-                if ci > 0 {
-                    out.push(',');
-                }
-                out.push_str("{\"labels\":{");
-                for (li, (k, v)) in child.labels.iter().enumerate() {
-                    if li > 0 {
-                        out.push(',');
-                    }
-                    write_json_string(k, &mut out);
-                    out.push(':');
-                    write_json_string(v, &mut out);
-                }
-                out.push('}');
-                match &child.handle {
-                    Handle::Counter(c) => {
-                        let _ = write!(out, ",\"value\":{}", c.get());
-                    }
-                    Handle::Gauge(g) => {
-                        let _ = write!(out, ",\"value\":{}", g.get());
-                    }
-                    Handle::Histogram(h) => {
-                        let snap = h.snapshot();
-                        let _ = write!(
-                            out,
-                            ",\"count\":{},\"sum\":{},\"p50\":{},\"p90\":{},\"p99\":{}",
-                            snap.count,
-                            snap.sum as f64 / family.scale,
-                            snap.quantile(0.50) as f64 / family.scale,
-                            snap.quantile(0.90) as f64 / family.scale,
-                            snap.quantile(0.99) as f64 / family.scale,
-                        );
-                    }
-                }
-                out.push('}');
-            }
-            out.push_str("]}");
-        }
-        out.push('}');
-        out
-    }
 }
 
 #[cfg(test)]
@@ -453,20 +379,6 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("lat_seconds_count{ep=\"jobs\"} 2"), "{text}");
-    }
-
-    #[test]
-    fn json_rendering_parses() {
-        let registry = Registry::new();
-        registry.counter("a_total", "A.", &[]).add(2);
-        registry
-            .histogram("b_seconds", "B \"quoted\".", &[("k", "v")], 1e9)
-            .record(10);
-        let json = registry.render_json();
-        // Quick structural sanity; full parse happens in integration tests.
-        assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        assert!(json.contains("\"a_total\""), "{json}");
-        assert!(json.contains("\"count\":1"), "{json}");
     }
 
     #[test]

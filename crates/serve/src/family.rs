@@ -585,9 +585,10 @@ impl PlanFamilies {
         }
     }
 
-    /// [`PlanFamilies::persist`] without a problem at hand: derives the
-    /// group shapes from the table's unit costs and the archived record
-    /// (used by the flush path, where no job is being served).
+    /// [`PlanFamilies::capture_snapshot`] without a problem at hand:
+    /// derives the group shapes from the table's unit costs and the
+    /// archived record (used by the flush path, where no job is being
+    /// served).
     fn persist_raw(&self, key: u64, state: &FamilyState) {
         let Some(persistence) = &self.persistence else {
             return;

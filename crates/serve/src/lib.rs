@@ -7,11 +7,17 @@
 //! ## Architecture
 //!
 //! ```text
-//!  tenants ──submit──▶ JobQueue ──round-robin──▶ tuner worker pool
+//!  tenants ──submit──▶ PlanCache probe ──exact hit──▶ answered at submit
+//!                      (sharded LRU, keyed by         (no queue slot,
+//!                       PlanFingerprint)               journal or worker)
+//!                        │ miss
+//!                        ▼
+//!                      JobQueue ──round-robin──▶ tuner worker pool
 //!                        │  (admission control)        │
 //!                        ▼                             ▼
-//!                   back-pressure              PlanCache (sharded LRU,
-//!                                              keyed by PlanFingerprint)
+//!                   back-pressure              PlanCache again (a job
+//!                                              queued ahead may have
+//!                                              solved it meanwhile)
 //!                                                      │ miss
 //!                             cache hit ◀──────────────┤
 //!                                                      ▼
@@ -32,11 +38,12 @@
 //!
 //! * [`queue::JobQueue`] — one FIFO lane per tenant, served round-robin, with
 //!   depth-based admission control (global + per-tenant bounds).
-//! * [`service::TuningService`] — a pool of worker threads draining the
-//!   queue; each job is fingerprinted ([`fingerprint::PlanFingerprint`]) and
-//!   answered from the sharded LRU [`cache::PlanCache`] when an equivalent
-//!   job was already solved — repeated workloads skip the `O(n·B')` DP
-//!   entirely and cache hits are bit-identical to the cold solve.
+//! * [`service::TuningService`] — each submitted job is fingerprinted
+//!   ([`fingerprint::PlanFingerprint`]) and, when an equivalent job was
+//!   already solved, answered on the submitting thread from the sharded LRU
+//!   [`cache::PlanCache`] — repeated workloads skip the queue and the
+//!   `O(n·B')` DP entirely, and cache hits are bit-identical to the cold
+//!   solve. Every other job is queued for a pool of worker threads.
 //! * [`family::PlanFamilies`] — cross-**budget** reuse: jobs that resolve to
 //!   the Repetition Algorithm and differ only in budget share one
 //!   budget-indexed DP table per family
@@ -64,8 +71,8 @@
 //!
 //! The service is synchronous-threaded by design: the solver is CPU-bound,
 //! so a thread-per-worker pool with a blocking queue is the honest shape; an
-//! async transport front-end can wrap [`service::TuningService::submit`]
-//! without touching this crate.
+//! async transport front-end can wrap
+//! [`service::TuningService::submit_observed`] without touching this crate.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -92,8 +99,8 @@ pub use queue::{AdmissionError, AdmissionPolicy, JobQueue};
 pub use retuner::{RetunePolicy, RetuneStats, Retuner};
 pub use router::{GroupAssignment, MarketRouter, RouteQuote, RoutedPlan};
 pub use service::{
-    CompletionNotify, JobHandle, JobRequest, MetricsSnapshot, PlanSource, RecoveryStats,
-    ServeError, ServedPlan, ServiceConfig, ServiceStatus, TuningService, WorkerDeath,
+    CompletionNotify, JobHandle, JobRequest, MetricsSnapshot, ObsLevel, PlanSource, RecoveryStats,
+    ServeError, ServedPlan, ServiceConfig, ServiceStatus, TuningService, WorkerDeath, JOB_ROOT,
     REPLAY_ATTEMPT_LIMIT,
 };
 pub use store::{

@@ -103,21 +103,22 @@ impl<T> JobQueue<T> {
     /// Enqueues a job for `tenant`, applying admission control. `admitted`
     /// runs under the queue lock once the job is admitted and before any
     /// worker can see it, so whatever it counts precedes everything a worker
-    /// does with the job; a refused job never runs it.
+    /// does with the job; a refused job never runs it. A refused job is
+    /// handed back with the reason (as [`std::sync::mpsc::SendError`]
+    /// returns an unsent value), so the caller decides how it is dropped.
     pub fn submit(
         &self,
         tenant: &str,
         job: T,
         admitted: impl FnOnce(),
-    ) -> Result<(), AdmissionError> {
+    ) -> Result<(), (AdmissionError, T)> {
         let mut inner = self.inner.lock().expect("job queue poisoned");
         if inner.closed {
-            return Err(AdmissionError::Closed);
+            return Err((AdmissionError::Closed, job));
         }
         if inner.pending >= self.policy.max_pending {
-            return Err(AdmissionError::QueueFull {
-                limit: self.policy.max_pending,
-            });
+            let limit = self.policy.max_pending;
+            return Err((AdmissionError::QueueFull { limit }, job));
         }
         // Check the per-tenant bound *before* creating the lane: rejected
         // submissions must not leave an empty lane behind, or first-time
@@ -125,9 +126,8 @@ impl<T> JobQueue<T> {
         // map by one entry per attacker-controlled tenant string.
         let depth = inner.lanes.get(tenant).map_or(0, VecDeque::len);
         if depth >= self.policy.max_pending_per_tenant {
-            return Err(AdmissionError::TenantOverLimit {
-                limit: self.policy.max_pending_per_tenant,
-            });
+            let limit = self.policy.max_pending_per_tenant;
+            return Err((AdmissionError::TenantOverLimit { limit }, job));
         }
         admitted();
         let lane = inner.lanes.entry(tenant.to_owned()).or_default();
@@ -240,12 +240,12 @@ mod tests {
         q.submit("a", 2, || {}).unwrap();
         assert_eq!(
             q.submit("a", 3, || {}),
-            Err(AdmissionError::TenantOverLimit { limit: 2 })
+            Err((AdmissionError::TenantOverLimit { limit: 2 }, 3))
         );
         q.submit("b", 4, || {}).unwrap();
         assert_eq!(
             q.submit("c", 5, || {}),
-            Err(AdmissionError::QueueFull { limit: 3 })
+            Err((AdmissionError::QueueFull { limit: 3 }, 5))
         );
         assert_eq!(q.pending(), 3);
     }
@@ -260,7 +260,7 @@ mod tests {
         for i in 0..100u32 {
             assert_eq!(
                 q.submit(&format!("tenant-{i}"), i, || {}),
-                Err(AdmissionError::TenantOverLimit { limit: 0 })
+                Err((AdmissionError::TenantOverLimit { limit: 0 }, i))
             );
         }
         assert_eq!(q.active_tenants(), 0, "rejects must not create lanes");
@@ -272,7 +272,7 @@ mod tests {
         q.submit("a", 1, || {}).unwrap();
         assert_eq!(
             q.submit("a", 2, || {}),
-            Err(AdmissionError::TenantOverLimit { limit: 1 })
+            Err((AdmissionError::TenantOverLimit { limit: 1 }, 2))
         );
         assert_eq!(q.active_tenants(), 1);
         assert_eq!(q.pop(), Some(1));
@@ -284,7 +284,7 @@ mod tests {
         let q = queue(8, 8);
         q.submit("a", 1, || {}).unwrap();
         q.close();
-        assert_eq!(q.submit("a", 2, || {}), Err(AdmissionError::Closed));
+        assert_eq!(q.submit("a", 2, || {}), Err((AdmissionError::Closed, 2)));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), None);
     }

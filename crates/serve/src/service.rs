@@ -9,7 +9,7 @@
 //! a worker. Every other job is journaled (with a durable store), queued,
 //! and delivered through the handle when a worker finishes. The service is
 //! deliberately transport-agnostic — an HTTP/gRPC front-end is a thin layer
-//! over [`TuningService::submit`] (see ROADMAP).
+//! over [`TuningService::submit_observed`] (see ROADMAP).
 
 use crate::cache::{CacheStats, PlanCache};
 use crate::family::{FamilyServe, FamilyStats, PlanFamilies};
@@ -30,7 +30,7 @@ use crowdtune_core::tuner::{StrategyChoice, TunedPlan, Tuner};
 use crowdtune_market::MarketRegistry;
 use crowdtune_obs::{
     ActiveTrace, Counter, Gauge, Histogram, JobTrace, LogLevel, Logger, LoggerConfig, Registry,
-    SlowestRing, TraceContext, TraceStart, Tracer, TracerConfig,
+    SlowestRing, TraceStart, Tracer, TracerConfig,
 };
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -200,8 +200,8 @@ enum Delivery {
 /// A completion hook for event-driven front-ends: invoked with the job id
 /// exactly once, after the outcome is deliverable via
 /// [`JobHandle::try_result`]. A job answered at submit never invokes it —
-/// check [`JobHandle::answered_at_submit`]. See
-/// [`TuningService::submit_with_notify`].
+/// check [`JobHandle::answered_at_submit`] — and neither does a refused
+/// submit. See [`TuningService::submit_observed`].
 pub type CompletionNotify = Arc<dyn Fn(u64) + Send + Sync>;
 
 /// Fires the completion hook exactly once — normally right after the worker
@@ -209,6 +209,8 @@ pub type CompletionNotify = Arc<dyn Fn(u64) + Send + Sync>;
 /// queued (service drain, queue teardown) still wakes its observer instead
 /// of leaving an event loop parked on a notification that never comes (the
 /// observer then reads [`ServeError::WorkerGone`] from the dropped channel).
+/// A job the queue refuses is disarmed before it drops: its submitter gets
+/// the error instead.
 struct NotifyOnce {
     job_id: u64,
     hook: Option<CompletionNotify>,
@@ -272,6 +274,32 @@ impl JobHandle {
     }
 }
 
+/// How much the service records per job. Counters, gauges and the logger
+/// stay live at every level: they are the same cells the stats snapshots
+/// read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ObsLevel {
+    /// No per-job recording: no stage stamps, stage histograms,
+    /// slowest-trace ring or spans (the instrumentation-overhead guard's
+    /// baseline).
+    Off,
+    /// Stage stamps, per-stage histograms and the slowest-trace ring, but
+    /// no span trees.
+    Metrics,
+    /// Everything [`ObsLevel::Metrics`] records, plus causal span trees:
+    /// every job accumulates spans into an [`ActiveTrace`], and the
+    /// [`Tracer`] built from this policy (head-sample rate, slow threshold,
+    /// span-store ring size) decides at completion whether the tree is kept
+    /// (see [`TuningService::tracer`]).
+    Traces(TracerConfig),
+}
+
+impl Default for ObsLevel {
+    fn default() -> Self {
+        ObsLevel::Traces(TracerConfig::default())
+    }
+}
+
 /// Sizing of the service.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
@@ -287,21 +315,8 @@ pub struct ServiceConfig {
     /// attached, evicted families remain rehydratable from their persisted
     /// snapshots).
     pub family_shards: usize,
-    /// Whether the telemetry spine records (stage stamps, per-stage
-    /// histograms, the slowest-trace ring). On by default; switched off only
-    /// by the instrumentation-overhead benchmark guard. Counters and the
-    /// registry itself stay live either way — they are the same cells the
-    /// legacy stats snapshots read.
-    pub telemetry: bool,
-    /// Whether causal request tracing records span trees (requires
-    /// `telemetry`; the effective setting is `telemetry && tracing`). With
-    /// tracing on, every job accumulates spans into an [`ActiveTrace`] and
-    /// the [`Tracer`]'s head/tail sampling decides at completion whether the
-    /// tree is kept (see [`TuningService::tracer`]).
-    pub tracing: bool,
-    /// Sampling and capacity policy of the tracer (head-sample rate, slow
-    /// threshold, span-store ring size).
-    pub tracing_config: TracerConfig,
+    /// How much is recorded per job; full traces by default.
+    pub obs: ObsLevel,
     /// Level, rate-limit and ring policy of the structured logger. The
     /// logger is always live (its counters are part of the exposition
     /// contract); the level floor and rate limit bound its cost.
@@ -318,9 +333,7 @@ impl Default for ServiceConfig {
             cache_shards: 8,
             cache_capacity_per_shard: 512,
             family_shards: 8,
-            telemetry: true,
-            tracing: true,
-            tracing_config: TracerConfig::default(),
+            obs: ObsLevel::default(),
             logging: LoggerConfig::default(),
         }
     }
@@ -460,8 +473,8 @@ fn stage_family(
 
 /// The service's telemetry spine: the registry every layer publishes into,
 /// the per-stage histograms, and the slowest-trace ring. With `enabled ==
-/// false` every stamp helper returns 0 and per-job recording is skipped —
-/// the hot path pays one branch (the overhead-guard configuration).
+/// false` ([`ObsLevel::Off`]) every stamp helper returns 0 and per-job
+/// recording is skipped — the hot path pays one branch.
 struct Telemetry {
     enabled: bool,
     /// Epoch for every [`JobTrace`] stamp taken by this service.
@@ -472,10 +485,10 @@ struct Telemetry {
     market_names: Vec<String>,
     stage: StageHists,
     slowest: SlowestRing,
-    /// The causal-tracing engine; `None` when telemetry or tracing is off —
-    /// the hot path then pays exactly what it paid before spans existed.
+    /// The causal-tracing engine; `None` below [`ObsLevel::Traces`] — the
+    /// hot path then pays exactly what it paid before spans existed.
     tracer: Option<Arc<Tracer>>,
-    /// The structured JSON-lines logger (always live; level floor and rate
+    /// The structured logger (always live; level floor and rate
     /// limit bound its cost).
     logger: Arc<Logger>,
     pending_gauge: Gauge,
@@ -566,11 +579,13 @@ impl Telemetry {
             "Tuner worker threads currently alive.",
             &[],
         );
-        let tracer = (config.telemetry && config.tracing)
-            .then(|| Tracer::new(&registry, config.tracing_config));
+        let tracer = match config.obs {
+            ObsLevel::Traces(policy) => Some(Tracer::new(&registry, policy)),
+            ObsLevel::Off | ObsLevel::Metrics => None,
+        };
         let logger = Logger::new(&registry, config.logging);
         Telemetry {
-            enabled: config.telemetry,
+            enabled: config.obs != ObsLevel::Off,
             epoch: Instant::now(),
             market_names,
             stage,
@@ -799,6 +814,11 @@ pub struct ServiceStatus {
 /// forever.
 pub const REPLAY_ATTEMPT_LIMIT: u32 = 3;
 
+/// Root span name of a job's own trace: the service begins one under this
+/// name when a submit brings no trace, and an in-process caller starts one
+/// under it to join the job to its own context.
+pub const JOB_ROOT: &str = "job.submit";
+
 /// Everything a worker thread reads, `Arc`-shared with the supervisor so a
 /// dead worker can be respawned with identical wiring.
 struct WorkerContext {
@@ -929,20 +949,8 @@ impl TuningService {
         path: impl AsRef<Path>,
         options: StoreOptions,
     ) -> Result<Self, ServeError> {
-        Self::recover_with_markets(config, path, options, Self::default_markets())
-    }
-
-    /// [`TuningService::recover_with`] against an explicit market registry.
-    /// Journals written before markets existed replay onto the default
-    /// market (their records decode to [`MarketId::DEFAULT`]).
-    pub fn recover_with_markets(
-        config: ServiceConfig,
-        path: impl AsRef<Path>,
-        options: StoreOptions,
-        markets: Arc<MarketRegistry>,
-    ) -> Result<Self, ServeError> {
-        let (store, snapshot) = PlanStore::open_with(path, options)?;
-        Ok(Self::boot(config, Some((store, snapshot)), markets))
+        let durable = PlanStore::open_with(path, options)?;
+        Ok(Self::boot(config, Some(durable), Self::default_markets()))
     }
 
     fn boot(
@@ -1116,7 +1124,7 @@ impl TuningService {
                     job_id: job.job_id,
                     hook: None,
                 },
-                span: service.begin_job_trace(None).map(JobSpan::live),
+                span: service.begin_job_trace().map(JobSpan::live),
                 probed: Probed::Nothing,
             };
             match service.enqueue_job(replay, receiver) {
@@ -1140,81 +1148,46 @@ impl TuningService {
     /// store attached, other accepted jobs whose rate model is serializable
     /// are journaled for crash recovery.
     pub fn submit(&self, request: JobRequest) -> Result<JobHandle, ServeError> {
-        self.submit_inner(request, None, self.begin_job_trace(None))
+        self.submit_observed(request, None, None)
     }
 
-    /// [`TuningService::submit`] under an explicit trace context: the job's
-    /// span tree joins the caller's trace (its id, its parent span, its
-    /// sampled flag — the in-process equivalent of sending a `traceparent`
-    /// header to the gateway). With `None` a fresh trace is minted exactly
-    /// as `submit` does. A no-op distinction when tracing is off.
-    pub fn submit_traced(
-        &self,
-        request: JobRequest,
-        context: Option<TraceContext>,
-    ) -> Result<JobHandle, ServeError> {
-        self.submit_inner(request, None, self.begin_job_trace(context))
-    }
-
-    /// Like [`TuningService::submit`], but additionally registers a
-    /// completion hook: `notify` is invoked with the job id exactly once,
-    /// *after* the outcome becomes readable via [`JobHandle::try_result`].
-    /// This is the non-blocking integration point for event-driven
-    /// front-ends (the gateway's reactor): instead of parking a thread in
-    /// [`JobHandle::wait`] per pending job, the front-end polls
-    /// `try_result` only when the hook fires. The hook also fires if the
-    /// job is discarded unserved (drain, teardown) — `try_result` then
-    /// reports [`ServeError::WorkerGone`] — so an event loop is never left
-    /// waiting on a notification that cannot come. The hook runs on a
-    /// worker (or teardown) thread: it must be cheap and must not block.
+    /// [`TuningService::submit`] with an optional completion hook and an
+    /// optional **live** trace.
     ///
-    /// A job answered at submit — an exact cache hit, reported by
-    /// [`JobHandle::answered_at_submit`] — never fires the hook: its outcome
-    /// is readable as soon as this returns, so the front-end answers it
-    /// without parking.
-    pub fn submit_with_notify(
-        &self,
-        request: JobRequest,
-        notify: CompletionNotify,
-    ) -> Result<JobHandle, ServeError> {
-        self.submit_inner(request, Some(notify), self.begin_job_trace(None))
-    }
-
-    /// The fully-observed submit: an optional completion hook plus an
-    /// optional **live** trace handle. A transport front-end that already
-    /// opened a trace for the request (the gateway's `http.request` root)
-    /// passes its handle here so the job's spans — queue wait, solve,
-    /// store persist — land in the request's own span tree instead of a
-    /// service-minted one.
+    /// `notify` is invoked with the job id exactly once, *after* the outcome
+    /// becomes readable via [`JobHandle::try_result`]. This is the
+    /// non-blocking integration point for event-driven front-ends (the
+    /// gateway's reactor): instead of parking a thread in [`JobHandle::wait`]
+    /// per pending job, the front-end polls `try_result` only when the hook
+    /// fires. The hook also fires if the job is discarded unserved (drain,
+    /// teardown) — `try_result` then reports [`ServeError::WorkerGone`] — so
+    /// an event loop is never left waiting on a notification that cannot
+    /// come. The hook runs on a worker (or teardown) thread: it must be
+    /// cheap and must not block. It never fires for:
+    ///
+    /// * a job answered at submit — an exact cache hit, reported by
+    ///   [`JobHandle::answered_at_submit`]: its outcome is readable as soon
+    ///   as this returns, so the front-end answers it without parking;
+    /// * a refused submit: the caller gets the error and no handle.
+    ///
+    /// `trace` is a live trace the job's spans — queue wait, solve, store
+    /// persist — join instead of a service-minted one. The gateway passes
+    /// its `http.request` root. An in-process caller joins its own trace by
+    /// starting one under its context:
+    /// `service.tracer().map(|t| t.start_trace(JOB_ROOT, Some(context)))`
+    /// (see [`JOB_ROOT`]). Such a trace is live from the start, so an
+    /// unsampled cache hit under it renders its spans before dropping
+    /// them; only a trace the service begins itself defers that work.
     pub fn submit_observed(
         &self,
         request: JobRequest,
         notify: Option<CompletionNotify>,
         trace: Option<ActiveTrace>,
     ) -> Result<JobHandle, ServeError> {
-        let trace = match trace {
+        let span = match trace {
             Some(active) => Some(JobSpan::Live(active)),
-            None => self.begin_job_trace(None),
+            None => self.begin_job_trace(),
         };
-        self.submit_inner(request, notify, trace)
-    }
-
-    /// Begins the job's own trace when tracing is on: the every-Nth
-    /// head-sampling decision, or the caller's ids and sampled flag when an
-    /// explicit context is handed in.
-    fn begin_job_trace(&self, context: Option<TraceContext>) -> Option<JobSpan<'_>> {
-        self.telemetry
-            .tracer
-            .as_ref()
-            .map(|tracer| JobSpan::Begun(tracer.begin_trace("job.submit", context)))
-    }
-
-    fn submit_inner(
-        &self,
-        request: JobRequest,
-        notify: Option<CompletionNotify>,
-        span: Option<JobSpan<'_>>,
-    ) -> Result<JobHandle, ServeError> {
         // A draining service sheds at the door — before journaling, so the
         // refusal costs neither a journal record nor its retirement.
         if self.is_draining() {
@@ -1318,6 +1291,15 @@ impl TuningService {
         }
     }
 
+    /// Begins the job's own trace when tracing is on, taking the every-Nth
+    /// head-sampling decision.
+    fn begin_job_trace(&self) -> Option<JobSpan<'_>> {
+        self.telemetry
+            .tracer
+            .as_ref()
+            .map(|tracer| JobSpan::Begun(tracer.begin_trace(JOB_ROOT, None)))
+    }
+
     /// The submit-time cache probe: `Ok` with the plan on an exact hit,
     /// otherwise what the worker starts from. Counts only a hit — on a miss
     /// the worker's own lookup counts (and catches a plan solved meanwhile
@@ -1400,10 +1382,10 @@ impl TuningService {
         }
     }
 
-    /// Queue insertion shared by [`TuningService::submit`] and journal
-    /// replay: stamps the enqueue, then counts `submitted` under the queue
-    /// lock, before a worker can see the job, so no worker's answer is ever
-    /// counted first.
+    /// Queue insertion shared by [`TuningService::submit_observed`] and
+    /// journal replay: stamps the enqueue, then counts `submitted` under the
+    /// queue lock, before a worker can see the job, so no worker's answer is
+    /// ever counted first. A refused job is dropped with its hook disarmed.
     fn enqueue_job(
         &self,
         mut job: QueuedJob,
@@ -1419,7 +1401,8 @@ impl TuningService {
             .submit(&tenant, job, || self.metrics.submitted.inc())
         {
             Ok(()) => Ok(JobHandle::new(id, Delivery::Queued(receiver))),
-            Err(e) => {
+            Err((e, mut refused)) => {
+                refused.notify.hook = None;
                 self.metrics.rejected.inc();
                 Err(e.into())
             }
@@ -1525,8 +1508,8 @@ impl TuningService {
         self.telemetry.registry.clone()
     }
 
-    /// Whether the per-job telemetry spine is recording
-    /// (see [`ServiceConfig::telemetry`]).
+    /// Whether the per-job telemetry spine is recording: any
+    /// [`ServiceConfig::obs`] level but [`ObsLevel::Off`].
     pub fn telemetry_enabled(&self) -> bool {
         self.telemetry.enabled
     }
@@ -1536,13 +1519,6 @@ impl TuningService {
     pub fn render_prometheus(&self) -> String {
         self.refresh_gauges();
         self.telemetry.registry.render_prometheus()
-    }
-
-    /// Renders the registry as JSON (same gauge refresh as
-    /// [`TuningService::render_prometheus`]).
-    pub fn render_metrics_json(&self) -> String {
-        self.refresh_gauges();
-        self.telemetry.registry.render_json()
     }
 
     fn refresh_gauges(&self) {
@@ -1579,7 +1555,7 @@ impl TuningService {
         self.telemetry.tracer.clone()
     }
 
-    /// The structured JSON-lines logger (always live), behind
+    /// The structured logger (always live), behind
     /// `GET /v1/debug/logs`. Records emitted while a traced job solves are
     /// stamped with its trace/span ids.
     pub fn logger(&self) -> Arc<Logger> {
@@ -2046,6 +2022,7 @@ fn serve_one(
 mod tests {
     use super::*;
     use crowdtune_core::rate::LinearRate;
+    use crowdtune_obs::TraceContext;
 
     fn request(tenant: &str, tasks: usize, budget: u64) -> JobRequest {
         let mut set = TaskSet::new();
@@ -2219,12 +2196,13 @@ mod tests {
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let release_rx = std::sync::Mutex::new(release_rx);
         let handle = service
-            .submit_with_notify(
+            .submit_observed(
                 request("acme", 5, 60),
-                Arc::new(move |job_id| {
+                Some(Arc::new(move |job_id| {
                     let _ = fired_tx.send(job_id);
                     let _ = release_rx.lock().unwrap().recv();
-                }),
+                })),
+                None,
             )
             .unwrap();
         fired_rx
@@ -2247,18 +2225,19 @@ mod tests {
     /// exactly once, with the job id, and only after `try_result` can see
     /// the outcome — no polling loop required.
     #[test]
-    fn submit_with_notify_fires_after_the_outcome_is_readable() {
+    fn completion_hook_fires_after_the_outcome_is_readable() {
         let service = TuningService::start(ServiceConfig {
             workers: 1,
             ..ServiceConfig::default()
         });
         let (tx, rx) = mpsc::channel::<u64>();
         let handle = service
-            .submit_with_notify(
+            .submit_observed(
                 request("acme", 5, 60),
-                Arc::new(move |job_id| {
+                Some(Arc::new(move |job_id| {
                     let _ = tx.send(job_id);
-                }),
+                })),
+                None,
             )
             .unwrap();
         let notified = rx
@@ -2294,11 +2273,12 @@ mod tests {
         let fired = Arc::new(AtomicUsize::new(0));
         let hook_fired = fired.clone();
         let handle = service
-            .submit_with_notify(
+            .submit_observed(
                 request("globex", 5, 60),
-                Arc::new(move |_| {
+                Some(Arc::new(move |_| {
                     hook_fired.fetch_add(1, Ordering::SeqCst);
-                }),
+                })),
+                None,
             )
             .unwrap();
         assert!(handle.answered_at_submit());
@@ -2351,19 +2331,19 @@ mod tests {
                 .expect("a queued job's hook fires")
         };
         let cold = service
-            .submit_with_notify(request("acme", 5, 60), hook())
+            .submit_observed(request("acme", 5, 60), Some(hook()), None)
             .unwrap();
         assert!(!cold.answered_at_submit());
         assert_eq!(wait_for_hook(), cold.job_id);
         assert!(cold.try_result().unwrap().is_ok());
 
         let hit = service
-            .submit_with_notify(request("acme", 5, 60), hook())
+            .submit_observed(request("acme", 5, 60), Some(hook()), None)
             .unwrap();
         assert!(hit.answered_at_submit());
 
         let other = service
-            .submit_with_notify(request("acme", 6, 60), hook())
+            .submit_observed(request("acme", 6, 60), Some(hook()), None)
             .unwrap();
         assert!(!other.answered_at_submit());
         assert_eq!(wait_for_hook(), other.job_id, "the hit fired no hook");
@@ -2371,6 +2351,47 @@ mod tests {
         service.shutdown();
         assert!(rx.try_recv().is_err(), "each hook fires exactly once");
         assert_eq!(hit.wait().unwrap().source, PlanSource::CacheHit);
+    }
+
+    /// A submit the queue refuses never fires its completion hook: the
+    /// caller gets the admission error and no handle, and no thread keeps
+    /// the hook.
+    #[test]
+    fn refused_submits_never_fire_their_completion_hook() {
+        let service = TuningService::start(ServiceConfig {
+            workers: 1,
+            admission: AdmissionPolicy {
+                max_pending: 16,
+                max_pending_per_tenant: 0,
+            },
+            ..ServiceConfig::default()
+        });
+        let fired = Arc::new(AtomicUsize::new(0));
+        let hook_fired = fired.clone();
+        let refused = service.submit_observed(
+            request("acme", 5, 60),
+            Some(Arc::new(move |_| {
+                hook_fired.fetch_add(1, Ordering::SeqCst);
+            })),
+            None,
+        );
+        assert!(
+            matches!(
+                refused,
+                Err(ServeError::Admission(AdmissionError::TenantOverLimit {
+                    limit: 0
+                }))
+            ),
+            "{refused:?}"
+        );
+        assert_eq!(
+            fired.load(Ordering::SeqCst),
+            0,
+            "a refused submit never fires its hook"
+        );
+        assert_eq!(Arc::strong_count(&fired), 1, "and no thread keeps it");
+        assert_eq!(service.metrics().rejected, 1);
+        service.shutdown();
     }
 
     /// Hits write nothing durable: on a durable service, repeats of a solved
@@ -2756,11 +2777,11 @@ mod tests {
     fn failed_jobs_reach_the_ring_and_are_tail_sampled() {
         let service = TuningService::start(ServiceConfig {
             workers: 1,
-            tracing_config: TracerConfig {
+            obs: ObsLevel::Traces(TracerConfig {
                 head_sample_every: 0,
                 slow_threshold_ns: u64::MAX,
                 capacity: 16,
-            },
+            }),
             ..ServiceConfig::default()
         });
         let trace_id = crowdtune_obs::TraceId(0xabc);
@@ -2773,7 +2794,10 @@ mod tests {
             rate_model: Arc::new(PanickingRate),
             ..request("acme", 5, 60)
         };
-        let handle = service.submit_traced(hostile, Some(context)).unwrap();
+        let trace = service
+            .tracer()
+            .map(|t| t.start_trace(JOB_ROOT, Some(context)));
+        let handle = service.submit_observed(hostile, None, trace).unwrap();
         let err = handle.wait().unwrap_err();
         assert!(matches!(err, ServeError::WorkerPanic { .. }), "{err}");
         let slowest = poll_until(
@@ -2799,11 +2823,11 @@ mod tests {
     fn slow_jobs_are_tail_sampled() {
         let service = TuningService::start(ServiceConfig {
             workers: 1,
-            tracing_config: TracerConfig {
+            obs: ObsLevel::Traces(TracerConfig {
                 head_sample_every: 0,
                 slow_threshold_ns: 1,
                 capacity: 16,
-            },
+            }),
             ..ServiceConfig::default()
         });
         service.tune(request("acme", 5, 60)).unwrap();
@@ -2832,8 +2856,11 @@ mod tests {
             parent: crowdtune_obs::SpanId(7),
             sampled: true,
         };
+        let trace = service
+            .tracer()
+            .map(|t| t.start_trace(JOB_ROOT, Some(context)));
         service
-            .submit_traced(request("acme", 5, 60), Some(context))
+            .submit_observed(request("acme", 5, 60), None, trace)
             .unwrap()
             .wait()
             .unwrap();
@@ -2862,13 +2889,13 @@ mod tests {
         service.shutdown();
     }
 
-    /// `tracing: false` (or telemetry off entirely) keeps the tracer out of
+    /// `ObsLevel::Metrics` (like `ObsLevel::Off`) keeps the tracer out of
     /// the pipeline: no tracer handle, and jobs still serve.
     #[test]
     fn tracing_can_be_disabled_independently() {
         let service = TuningService::start(ServiceConfig {
             workers: 1,
-            tracing: false,
+            obs: ObsLevel::Metrics,
             ..ServiceConfig::default()
         });
         assert!(service.tracer().is_none());

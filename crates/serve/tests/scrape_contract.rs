@@ -7,7 +7,7 @@ use crowdtune_core::money::Budget;
 use crowdtune_core::rate::LinearRate;
 use crowdtune_core::task::TaskSet;
 use crowdtune_core::tuner::StrategyChoice;
-use crowdtune_serve::{JobRequest, MarketId, ServiceConfig, TuningService};
+use crowdtune_serve::{JobRequest, MarketId, ObsLevel, ServiceConfig, TuningService};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -131,8 +131,8 @@ fn counters_are_monotone_and_untorn_under_concurrent_load() {
     assert_eq!(snap.completed(), snap.submitted);
 }
 
-/// The rendered expositions agree with the stats snapshots and with each
-/// other, and the stage histograms / slowest ring actually filled.
+/// The rendered exposition agrees with the stats snapshots, and the stage
+/// histograms / slowest ring actually filled.
 #[test]
 fn rendered_expositions_match_snapshots() {
     let service = TuningService::start(ServiceConfig {
@@ -214,26 +214,6 @@ fn rendered_expositions_match_snapshots() {
         prom_value(&text, "crowdtune_cache_entries", ""),
         Some(cache.entries)
     );
-    // The JSON rendering is valid JSON (the shim parser is strict) and
-    // carries the same submitted total.
-    let json = service.render_metrics_json();
-    let value = serde_json::parse_value_str(&json).expect("metrics JSON parses");
-    let samples = value
-        .field("crowdtune_jobs_submitted_total")
-        .and_then(|f| f.field("samples"))
-        .expect("submitted family present");
-    let submitted = match samples {
-        serde_json::Value::Arr(items) => {
-            match items.first().expect("one sample").field("value").unwrap() {
-                serde_json::Value::I64(v) => *v as u64,
-                serde_json::Value::U64(v) => *v,
-                other => panic!("value is {}", other.kind()),
-            }
-        }
-        other => panic!("samples is {}", other.kind()),
-    };
-    assert_eq!(submitted, snap.submitted);
-
     // The slowest ring holds complete traces, slowest first.
     let slowest = service.slowest_traces();
     assert!(!slowest.is_empty(), "no traces retained");
@@ -254,7 +234,7 @@ fn rendered_expositions_match_snapshots() {
 fn telemetry_off_keeps_counters_but_records_no_traces() {
     let service = TuningService::start(ServiceConfig {
         workers: 1,
-        telemetry: false,
+        obs: ObsLevel::Off,
         ..ServiceConfig::default()
     });
     assert!(!service.telemetry_enabled());

@@ -42,7 +42,7 @@ use crowdtune_gateway::{Gateway, GatewayConfig};
 use crowdtune_obs::{SpanId, TraceContext, TraceId};
 use crowdtune_serve::{
     HealthState, JobRequest, JournalRecord, MarketId, PlanSource, PlanStore, ServeError,
-    ServiceConfig, StoreOptions, TuningService, REPLAY_ATTEMPT_LIMIT,
+    ServiceConfig, StoreOptions, TuningService, JOB_ROOT, REPLAY_ATTEMPT_LIMIT,
 };
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -375,10 +375,14 @@ fn main() {
         parent: SpanId(0x51),
         sampled: false,
     };
+    let panic_trace = service
+        .tracer()
+        .map(|t| t.start_trace(JOB_ROOT, Some(panic_context)));
     let err = service
-        .submit_traced(
+        .submit_observed(
             request(ra_set(), 200, panic_rate.clone()),
-            Some(panic_context),
+            None,
+            panic_trace,
         )
         .expect("panic job admitted")
         .wait()

@@ -20,12 +20,13 @@
 //!    `/v1/debug/slowest`, `/healthz`); the per-endpoint rows land in the
 //!    bench JSON with their in-run `p99_vs_p50_ratio` (tail health, guarded
 //!    with a ceiling by the CI regression script).
-//! 6. **Overhead pass** — two fresh in-process services, telemetry on vs
-//!    off, alternating warm cache-hit submits; `telemetry_off_vs_on_p50_ratio`
-//!    (~1.0, guarded with a floor) is the cost of the per-job tracing and
-//!    histogram instrumentation on the hottest path. A second pass repeats
-//!    the pattern for causal span recording (tracing on vs off, telemetry on
-//!    in both); `tracing_off_vs_on_p50_ratio` (~1.0, floor-guarded at 1.20x)
+//! 6. **Overhead pass** — two fresh in-process services, the default
+//!    `ObsLevel` vs `ObsLevel::Off`, alternating warm cache-hit submits;
+//!    `telemetry_off_vs_on_p50_ratio` (~1.0, guarded with a floor) is the
+//!    cost of the per-job tracing and histogram instrumentation on the
+//!    hottest path. A second pass repeats the pattern for causal span
+//!    recording (the default vs `ObsLevel::Metrics`);
+//!    `tracing_off_vs_on_p50_ratio` (~1.0, floor-guarded at 1.20x)
 //!    proves the mostly-unsampled span path stays off the hot path. The
 //!    correctness pass also submits one job with a W3C `traceparent` header
 //!    and asserts the echoed header keeps the caller's trace id and the span
@@ -56,7 +57,9 @@ use crowdtune_core::rate::{LinearRate, LogRate, RateSpec};
 use crowdtune_core::task::TaskGroupSpec;
 use crowdtune_core::tuner::StrategyChoice;
 use crowdtune_gateway::{Gateway, GatewayConfig, JobRequestWire};
-use crowdtune_serve::{AdmissionPolicy, ServiceConfig, StoreOptions, TuningService, WriteFault};
+use crowdtune_serve::{
+    AdmissionPolicy, ObsLevel, ServiceConfig, StoreOptions, TuningService, WriteFault,
+};
 use serde::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -667,14 +670,14 @@ fn main() {
     );
 
     // -- Overhead pass: what does the per-job tracing + histogram recording
-    // cost on the hottest path? Two fresh services, telemetry on vs off,
-    // warm caches, alternating submits so scheduler drift hits both sides
-    // equally. The off/on p50 ratio sits near 1.0; a drop means the
+    // cost on the hottest path? Two fresh services, the default vs
+    // `ObsLevel::Off`, warm caches, alternating submits so scheduler drift
+    // hits both sides equally. The off/on p50 ratio sits near 1.0; a drop means the
     // instrumentation got expensive.
     let overhead_rounds = if quick { 150 } else { 600 };
     let telemetry_on = TuningService::start(ServiceConfig::default());
     let telemetry_off = TuningService::start(ServiceConfig {
-        telemetry: false,
+        obs: ObsLevel::Off,
         ..ServiceConfig::default()
     });
     for wire in &jobs {
@@ -710,13 +713,14 @@ fn main() {
         (telemetry_on_p50 / telemetry_off_p50 - 1.0) * 100.0
     );
 
-    // -- Tracing overhead pass: same in-run pattern, telemetry on in both,
-    // causal span recording on vs off. The unsampled path (head sampling
-    // keeps 1-in-64 by default) must stay off the hot path: the off/on p50
-    // ratio sits near 1.0 and is floor-guarded at 1.20x by CI.
+    // -- Tracing overhead pass: same in-run pattern, default vs
+    // `ObsLevel::Metrics` (span recording on vs off). The unsampled path
+    // (head sampling keeps 1-in-64 by default) must stay off the hot path:
+    // the off/on p50 ratio sits near 1.0 and is floor-guarded at 1.20x by
+    // CI.
     let tracing_on = TuningService::start(ServiceConfig::default());
     let tracing_off = TuningService::start(ServiceConfig {
-        tracing: false,
+        obs: ObsLevel::Metrics,
         ..ServiceConfig::default()
     });
     for wire in &jobs {
