@@ -27,7 +27,7 @@
 //!                                    DELETE /v1/jobs/{id}    release result
 //!                                    GET    /v1/metrics      counters (JSON)
 //!                                      …?format=prometheus   text exposition
-//!                                    GET    /v1/debug/slowest slowest traces
+//!                                    GET    /v1/debug/slowest slowest kept jobs
 //!                                    GET    /v1/debug/traces  sampled span trees
 //!                                    GET    /v1/debug/traces/{trace_id}
 //!                                    GET    /v1/debug/logs    structured log ring
@@ -64,8 +64,8 @@
 //! (connections accepted/shed/timed-out, parse rejects by class, request
 //! counts and latency histograms per endpoint × status class, bytes in/out),
 //! so one scrape of `/v1/metrics?format=prometheus` covers transport and
-//! solver alike; `GET /v1/debug/slowest` exposes the service's ring of
-//! slowest completed job traces ([`SlowestBody`]) stage by stage.
+//! solver alike; `GET /v1/debug/slowest` lists the slowest job traces the
+//! span store kept ([`SlowestBody`]) stage by stage.
 //!
 //! Causal request tracing rides the same socket: a `traceparent` request
 //! header (W3C Trace Context) joins the submit to the caller's trace, the

@@ -9,7 +9,7 @@
 //! | `GET /v1/jobs/{id}`     | job status: `pending`, `done` (plan + source) or `failed` |
 //! | `DELETE /v1/jobs/{id}`  | drop a retained/pending result: `204` once, `404` after |
 //! | `GET /v1/metrics`       | [`MetricsBody`] JSON by default; the full Prometheus text exposition with `?format=prometheus` or `Accept: text/plain` |
-//! | `GET /v1/debug/slowest` | [`SlowestBody`]: the N slowest completed job traces, stage by stage |
+//! | `GET /v1/debug/slowest` | [`SlowestBody`]: the 32 slowest job traces the span store kept, stage by stage |
 //! | `GET /v1/debug/traces`  | [`TracesBody`]: sampled span trees, newest first; filters `tenant`, `market`, `scenario`, `status`, `sampled`, `min_duration_ms` |
 //! | `GET /v1/debug/traces/{trace_id}` | [`TraceTreeBody`]: one trace's full span tree by 32-hex trace id |
 //! | `GET /v1/debug/logs`    | [`LogsBody`]: the structured log ring; filters `level`, `limit` |
@@ -1680,8 +1680,8 @@ fn get_metrics(state: &GatewayState, request: &Request) -> Response {
     }
 }
 
-/// `GET /v1/debug/slowest`: the retained ring of slowest completed job
-/// traces, slowest first, with per-stage timings in seconds.
+/// `GET /v1/debug/slowest`: the slowest job traces the span store kept,
+/// slowest first, with per-stage timings in seconds.
 fn get_slowest(state: &GatewayState) -> Response {
     let traces: Vec<TraceBody> = state
         .service

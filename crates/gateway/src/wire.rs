@@ -216,17 +216,19 @@ impl JobBody {
     }
 }
 
-/// Response of `GET /v1/debug/slowest`: the retained ring of slowest
-/// completed jobs, slowest first.
+/// Response of `GET /v1/debug/slowest`: the slowest job traces the span
+/// store kept, slowest first (see
+/// [`TuningService::slowest_traces`](crowdtune_serve::TuningService::slowest_traces)).
+/// Empty when tracing is off.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SlowestBody {
     /// Traces ordered by descending total time.
     pub traces: Vec<TraceBody>,
 }
 
-/// One completed job's stage timeline, flattened to per-stage durations in
-/// seconds (the stamps themselves are process-relative and meaningless over
-/// the wire).
+/// One kept job's stage timeline, read back from its span tree and
+/// flattened to per-stage durations in seconds (the stamps themselves are
+/// process-relative and meaningless over the wire).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceBody {
     /// Service-assigned job id.
@@ -238,8 +240,8 @@ pub struct TraceBody {
     /// Which reuse layer answered (`"cache"`/`"family"`/`"cold"`).
     pub source: String,
     /// How the job ended: `"ok"`, `"failed"`, `"panicked"` or `"lost"` —
-    /// failed jobs sit in the ring alongside slow ones, so the status is
-    /// part of the wire shape.
+    /// tail sampling keeps failed jobs alongside slow ones, so the status
+    /// is part of the wire shape.
     pub status: String,
     /// Admission (or enqueue) to worker pickup.
     pub queue_wait_seconds: f64,

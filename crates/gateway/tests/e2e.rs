@@ -10,8 +10,9 @@ use crowdtune_core::rate::{LinearRate, RateSpec};
 use crowdtune_core::task::TaskGroupSpec;
 use crowdtune_core::tuner::StrategyChoice;
 use crowdtune_gateway::{Gateway, GatewayConfig, JobRequestWire};
+use crowdtune_obs::TracerConfig;
 use crowdtune_serve::{
-    AdmissionPolicy, FsyncPolicy, PlanSource, ServiceConfig, StoreOptions, TuningService,
+    AdmissionPolicy, FsyncPolicy, ObsLevel, PlanSource, ServiceConfig, StoreOptions, TuningService,
 };
 use serde::Value;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -607,12 +608,17 @@ fn prom_value(text: &str, name: &str, labels: &str) -> Option<u64> {
 /// The observability surface over real sockets: `/v1/metrics` negotiates
 /// JSON (back-compat default) vs the Prometheus text exposition, the
 /// exposition carries the gateway's own transport metrics, and
-/// `/v1/debug/slowest` returns the per-stage trace ring.
+/// `/v1/debug/slowest` returns the kept job traces stage by stage (every
+/// trace is head-sampled here, so all three submits are listed).
 #[test]
 fn observability_endpoints_over_http() {
     let (_service, gateway) = start_gateway(
         ServiceConfig {
             workers: 2,
+            obs: ObsLevel::Traces(TracerConfig {
+                head_sample_every: 1,
+                ..TracerConfig::default()
+            }),
             ..ServiceConfig::default()
         },
         GatewayConfig::default(),
@@ -691,8 +697,8 @@ fn observability_endpoints_over_http() {
         "{text}"
     );
 
-    // The slowest-trace ring: traces fold in after the response is sent, so
-    // poll briefly for all three.
+    // The slowest-trace list: traces fold in after the response is sent,
+    // so poll briefly for all three.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     let slowest = loop {
         let response = client.request("GET", "/v1/debug/slowest", None);

@@ -631,26 +631,19 @@ fn traceparent_joins_submit_and_span_tree_is_queryable() {
     assert_eq!(as_str(field(field(&tree, "trace"), "trace_id")), trace_id);
     assert_eq!(as_str(field(field(&tree, "trace"), "tenant")), "acme");
     assert_eq!(as_str(field(field(&tree, "trace"), "status")), "ok");
-    let spans = match field(&tree, "spans") {
-        Value::Arr(spans) => spans,
-        other => panic!("spans is not an array: {other:?}"),
-    };
-    let names: Vec<&str> = spans
-        .iter()
-        .map(|span| as_str(field(span, "name")))
-        .collect();
-    for expected in [
-        "http.request",
-        "gateway.parse",
-        "gateway.auth",
-        "gateway.dispatch",
-        "job",
-        "queue.wait",
-        "solve",
-        "store.persist",
-    ] {
-        assert!(names.contains(&expected), "no {expected} span in {names:?}");
-    }
+    assert_spans(
+        &tree,
+        &[
+            "http.request",
+            "gateway.parse",
+            "gateway.auth",
+            "gateway.dispatch",
+            "job",
+            "queue.wait",
+            "solve",
+            "store.persist",
+        ],
+    );
 
     // The summary listing finds the trace by tenant and misses on others.
     let listed = client.request("GET", "/v1/debug/traces?tenant=acme", None);
@@ -743,14 +736,6 @@ fn auth_rejects_leave_warn_records_in_the_log_ring() {
 fn pipelined_cache_hits_and_misses_answer_in_order() {
     let (_service, gateway) = start_gateway(GatewayConfig::default());
     let mut client = Client::connect(gateway.local_addr());
-    let reference = |budget: u64| {
-        let job = ra_wire("acme", budget).to_request(1_000_000).unwrap();
-        let plan = Tuner::new(job.rate_model)
-            .with_strategy(job.strategy)
-            .plan(job.task_set, job.budget)
-            .unwrap();
-        serde_json::to_string(&plan).unwrap()
-    };
     let warm = client.request("POST", "/v1/jobs?wait=1", Some(&wire_body("acme", 80)));
     assert_eq!(warm.status, 200, "{}", warm.body);
     assert_eq!(as_str(field(&warm.json(), "source")), "cold");
@@ -781,7 +766,7 @@ fn pipelined_cache_hits_and_misses_answer_in_order() {
             );
             assert_eq!(
                 serde_json::to_string(field(&json, "plan")).unwrap(),
-                reference(budget),
+                reference_plan(budget),
                 "budget {budget} got another request's plan"
             );
             if budget == 80 {
@@ -812,6 +797,26 @@ fn reference_plan(budget: u64) -> String {
         .plan(job.task_set, job.budget)
         .unwrap();
     serde_json::to_string(&plan).unwrap()
+}
+
+/// The spans of a `GET /v1/debug/traces/{id}` body.
+fn tree_spans(tree: &Value) -> &[Value] {
+    match field(tree, "spans") {
+        Value::Arr(spans) => spans,
+        other => panic!("spans is not an array: {other:?}"),
+    }
+}
+
+/// Asserts that a `GET /v1/debug/traces/{id}` body holds a span of each
+/// of `expected`'s names.
+fn assert_spans(tree: &Value, expected: &[&str]) {
+    let names: Vec<&str> = tree_spans(tree)
+        .iter()
+        .map(|span| as_str(field(span, "name")))
+        .collect();
+    for name in expected {
+        assert!(names.contains(name), "no {name} span in {names:?}");
+    }
 }
 
 /// The value of attribute `key` on a span of a `GET /v1/debug/traces/{id}`
@@ -851,26 +856,19 @@ fn traced_cache_hits_complete_before_their_response() {
     let tree = client.request("GET", &format!("/v1/debug/traces/{sampled}"), None);
     assert_eq!(tree.status, 200, "trace not stored yet: {}", tree.body);
     let tree = tree.json();
-    let spans = match field(&tree, "spans") {
-        Value::Arr(spans) => spans,
-        other => panic!("spans is not an array: {other:?}"),
-    };
-    let names: Vec<&str> = spans
-        .iter()
-        .map(|span| as_str(field(span, "name")))
-        .collect();
-    for expected in [
-        "http.request",
-        "gateway.parse",
-        "gateway.auth",
-        "gateway.dispatch",
-        "job",
-        "queue.wait",
-        "solve",
-    ] {
-        assert!(names.contains(&expected), "no {expected} span in {names:?}");
-    }
-    let job = spans
+    assert_spans(
+        &tree,
+        &[
+            "http.request",
+            "gateway.parse",
+            "gateway.auth",
+            "gateway.dispatch",
+            "job",
+            "queue.wait",
+            "solve",
+        ],
+    );
+    let job = tree_spans(&tree)
         .iter()
         .find(|span| as_str(field(span, "name")) == "job")
         .unwrap();

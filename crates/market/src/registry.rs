@@ -1,5 +1,5 @@
-//! The market registry: one controller, one rate belief, one drift estimator
-//! per federated marketplace.
+//! The market registry: one rate belief and one drift estimator per
+//! federated marketplace.
 //!
 //! The paper tunes every job against a single marketplace whose price →
 //! on-hold-rate curve `λo(c)` is estimated once (§3.3) and drifts over time.
@@ -13,9 +13,7 @@
 //!   ([`DriftWindow`]). Unlike an unbounded accumulator, a bounded window
 //!   lets a regime switch *un-mix*: once pre-switch observations age out,
 //!   the estimate converges on the new regime instead of averaging both
-//!   forever;
-//! * an optional **controller** slot — a [`MarketController`] consulted by
-//!   simulations running against this market;
+//!   forever. The same window backs a job's online re-tuner;
 //! * a **probe planner** — §3.3.1's active probing: after confirmed drift
 //!   the registry proposes off-plan probe HITs ([`ProbePlan`]) spanning the
 //!   observed price range, and [`MarketRegistry::relearn`] refits the
@@ -26,9 +24,6 @@
 //! label set bounded (telemetry exports one histogram family per market) and
 //! lets the serving layer reject jobs naming unknown markets at admission.
 
-use crate::control::{ControlAction, MarketController, MarketView, NoopController};
-use crate::events::Event;
-use crate::time::SimTime;
 use crowdtune_core::inference::{ProbeCampaign, ProbePlan};
 use crowdtune_core::rate::{LinearRate, RateModel};
 use crowdtune_core::{CoreError, MarketId, Result};
@@ -138,6 +133,11 @@ impl DriftWindow {
         Some((events as f64 / exposure, events))
     }
 
+    /// Accepted delays held, summed over every price.
+    pub fn observations(&self) -> usize {
+        self.accepted.iter().map(|(_, deque)| deque.len()).sum()
+    }
+
     /// Prices with at least one accepted observation, ascending.
     pub fn observed_prices(&self) -> Vec<u64> {
         let mut prices: Vec<u64> = self.accepted.iter().map(|(p, _)| *p).collect();
@@ -172,13 +172,12 @@ struct MarketEntry {
     name: String,
     belief: Mutex<Arc<dyn RateModel>>,
     drift: Mutex<DriftWindow>,
-    controller: Mutex<Box<dyn MarketController + Send>>,
 }
 
 /// The static set of federated marketplaces and their per-market state.
 ///
-/// Construction fixes the member markets; everything else (beliefs, drift
-/// windows, controllers) is interior-mutable behind per-market locks, so the
+/// Construction fixes the member markets; everything else (beliefs and
+/// drift windows) is interior-mutable behind per-market locks, so the
 /// registry is shared as an `Arc<MarketRegistry>` across the serving layer,
 /// the router and simulations.
 pub struct MarketRegistry {
@@ -238,7 +237,6 @@ impl MarketRegistry {
                 name,
                 belief: Mutex::new(belief),
                 drift: Mutex::new(DriftWindow::default()),
-                controller: Mutex::new(Box::new(NoopController)),
             });
         }
         Ok(MarketRegistry { entries, config })
@@ -314,32 +312,6 @@ impl MarketRegistry {
         *entry.belief.lock().expect("belief lock") = belief;
         entry.drift.lock().expect("drift lock").clear();
         Ok(())
-    }
-
-    /// Installs a controller for `id`, replacing the default no-op watcher.
-    pub fn set_controller(
-        &self,
-        id: MarketId,
-        controller: Box<dyn MarketController + Send>,
-    ) -> Result<()> {
-        *self.entry(id)?.controller.lock().expect("controller lock") = controller;
-        Ok(())
-    }
-
-    /// Dispatches a simulation event to `id`'s controller.
-    pub fn control(
-        &self,
-        id: MarketId,
-        time: SimTime,
-        event: &Event,
-        view: &MarketView<'_>,
-    ) -> Result<ControlAction> {
-        Ok(self
-            .entry(id)?
-            .controller
-            .lock()
-            .expect("controller lock")
-            .on_event(time, event, view))
     }
 
     /// Feeds one accepted repetition (on-hold delay `delay` at `price`) into
@@ -443,9 +415,7 @@ impl Default for MarketRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::RepetitionId;
     use crowdtune_core::inference::PriceObservation;
-    use crowdtune_core::money::{Allocation, Payment};
 
     fn two_markets() -> MarketRegistry {
         MarketRegistry::new(vec![
@@ -603,31 +573,5 @@ mod tests {
         assert!((belief.on_hold_rate(3.0) - 7.0).abs() < 0.5);
         // Relearning cleared the window: no residual drift evidence.
         assert!(registry.confirmed_drift(id).unwrap().is_empty());
-    }
-
-    #[test]
-    fn controllers_are_per_market() {
-        let registry = two_markets();
-        registry
-            .set_controller(
-                MarketId(1),
-                Box::new(|_: SimTime, _: &Event, _: &MarketView<'_>| {}),
-            )
-            .unwrap();
-        let allocation = Allocation::uniform(&[2], Payment::units(1));
-        let view = MarketView {
-            completed: &[0],
-            published: &[1],
-            committed_units: 1,
-            allocation: &allocation,
-        };
-        let event = Event::Publish(RepetitionId::new(0, 0));
-        let action = registry
-            .control(MarketId(1), SimTime::new(1.0), &event, &view)
-            .unwrap();
-        assert!(matches!(action, ControlAction::Continue));
-        assert!(registry
-            .control(MarketId(9), SimTime::new(1.0), &event, &view)
-            .is_err());
     }
 }

@@ -14,9 +14,9 @@
 //! * [`Registry`] — named metric families rendered as Prometheus text
 //!   exposition v0.0.4, in registration order (which is the mechanism for
 //!   cross-counter scrape invariants; see [`registry`]).
-//! * [`JobTrace`] / [`SlowestRing`] — per-job stage timelines (admitted →
-//!   queued → dequeued → solve → estimate → completed) and a bounded ring
-//!   of the N slowest, powering `GET /v1/debug/slowest`.
+//! * [`JobTrace`] — per-job stage timelines (admitted → queued → dequeued
+//!   → solve → estimate → completed), stored as spans and read back from
+//!   them; `GET /v1/debug/slowest` lists the slowest kept ones.
 //! * [`span`] — causal request tracing: W3C `traceparent` propagation
 //!   ([`TraceContext`]), per-request span trees ([`ActiveTrace`]) with head
 //!   plus tail (slow/error) sampling, and the bounded [`SpanStore`] behind
@@ -46,4 +46,4 @@ pub use span::{
     ActiveTrace, AttrValue, SampleReason, Span, SpanId, SpanStatus, SpanStore, StoredTrace,
     TraceContext, TraceId, TraceStart, Tracer, TracerConfig,
 };
-pub use trace::{JobTrace, SlowestRing};
+pub use trace::JobTrace;

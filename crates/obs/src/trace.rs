@@ -1,4 +1,4 @@
-//! Per-job lifecycle traces and the bounded ring of slowest traces.
+//! Per-job lifecycle traces.
 //!
 //! A [`JobTrace`] is a set of **monotonic stage stamps** — nanosecond
 //! offsets from one fixed epoch (the owning service's boot instant), all
@@ -14,22 +14,15 @@
 //! the plan-family entry lock inside the solve window (zero for cache hits
 //! and cold non-family solves).
 //!
-//! The [`SlowestRing`] keeps the N traces with the largest total latency —
-//! **including failed and panicked jobs** (the worst outcomes), which carry
-//! a non-`"ok"` [`JobTrace::status`]. The hot path pays one relaxed atomic
-//! load when the new trace is too fast to qualify; only qualifying traces
-//! take the ring's mutex.
-//!
-//! When causal tracing is on, the span tree is the primary record:
-//! [`JobTrace::record_spans`] hands the stamps to an [`ActiveTrace`], which
-//! renders them as spans if sampling keeps the trace, and
-//! [`JobTrace::from_spans`] reconstructs the stamp view from a stored span
-//! tree — the two are round-trip equal, so there is one bookkeeping source,
-//! viewed two ways.
+//! The span tree is the stored record: [`JobTrace::record_spans`] hands the
+//! stamps to an [`ActiveTrace`], which renders them as spans if sampling
+//! keeps the trace, and [`JobTrace::from_spans`] reconstructs the stamp view
+//! from a stored span tree. The two agree on every stage duration, so there
+//! is one bookkeeping source, viewed two ways: the slowest-jobs list behind
+//! `GET /v1/debug/slowest` is this view over the
+//! [`SpanStore`](crate::span::SpanStore).
 
 use crate::span::{random_span_id, ActiveTrace, AttrValue, Span, SpanId, SpanStatus, TraceId};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Stage stamps (ns offsets from the service epoch) and labels for one
 /// served job. A stamp of zero means the stage was not reached (or telemetry
@@ -219,8 +212,9 @@ impl JobTrace {
     }
 
     /// Reconstructs the stamp view from a stored span tree (the inverse of
-    /// [`JobTrace::record_spans`]): returns `None` when `spans` holds no
-    /// `job` span.
+    /// [`JobTrace::record_spans`] for every label and stage duration; a
+    /// solve that produced no plan reads back as an empty solve window):
+    /// returns `None` when `spans` holds no `job` span.
     pub fn from_spans(spans: &[Span]) -> Option<JobTrace> {
         let job = spans.iter().find(|s| s.name == "job")?;
         let mut trace = JobTrace {
@@ -296,82 +290,9 @@ impl JobTrace {
     }
 }
 
-/// A bounded collection of the N slowest completed [`JobTrace`]s by
-/// [`JobTrace::total_ns`].
-#[derive(Debug)]
-pub struct SlowestRing {
-    capacity: usize,
-    /// Smallest total among kept traces once the ring is full; 0 while
-    /// filling. Lets the hot path skip the mutex for fast jobs.
-    floor_ns: AtomicU64,
-    traces: Mutex<Vec<JobTrace>>,
-}
-
-impl SlowestRing {
-    /// A ring keeping the `capacity` slowest traces (capacity is clamped to
-    /// at least 1).
-    pub fn new(capacity: usize) -> Self {
-        SlowestRing {
-            capacity: capacity.max(1),
-            floor_ns: AtomicU64::new(0),
-            traces: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Offers a completed trace; keeps a copy iff it ranks among the
-    /// slowest N.
-    pub fn offer(&self, trace: &JobTrace) {
-        let total = trace.total_ns();
-        // Relaxed is fine: a stale floor only means one extra mutex trip or
-        // one marginal trace missed — never a wrong ring invariant.
-        if total <= self.floor_ns.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut traces = self.traces.lock().expect("slowest ring poisoned");
-        if traces.len() < self.capacity {
-            traces.push(trace.clone());
-        } else {
-            let (min_idx, min_total) = traces
-                .iter()
-                .enumerate()
-                .map(|(i, t)| (i, t.total_ns()))
-                .min_by_key(|&(_, t)| t)
-                .expect("ring is non-empty at capacity");
-            if total <= min_total {
-                return;
-            }
-            traces[min_idx] = trace.clone();
-        }
-        if traces.len() == self.capacity {
-            let floor = traces
-                .iter()
-                .map(JobTrace::total_ns)
-                .min()
-                .expect("ring is non-empty at capacity");
-            self.floor_ns.store(floor, Ordering::Relaxed);
-        }
-    }
-
-    /// The kept traces, slowest first.
-    pub fn snapshot(&self) -> Vec<JobTrace> {
-        let mut traces = self.traces.lock().expect("slowest ring poisoned").clone();
-        traces.sort_by_key(|t| std::cmp::Reverse(t.total_ns()));
-        traces
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn trace(id: u64, total: u64) -> JobTrace {
-        JobTrace {
-            job_id: id,
-            admitted_ns: 100,
-            completed_ns: 100 + total,
-            ..JobTrace::default()
-        }
-    }
 
     #[test]
     fn durations_are_saturating_differences() {
@@ -392,32 +313,24 @@ mod tests {
         assert_eq!(JobTrace::default().total_ns(), 0);
     }
 
-    #[test]
-    fn ring_keeps_the_slowest() {
-        let ring = SlowestRing::new(3);
-        for (id, total) in [(1, 50), (2, 10), (3, 80), (4, 20), (5, 60), (6, 5)] {
-            ring.offer(&trace(id, total));
-        }
-        let kept: Vec<u64> = ring.snapshot().iter().map(|t| t.job_id).collect();
-        assert_eq!(kept, vec![3, 5, 1]);
-    }
-
-    #[test]
-    fn ring_admits_error_traces() {
-        let ring = SlowestRing::new(2);
-        ring.offer(&trace(1, 50));
-        ring.offer(&JobTrace {
-            job_id: 2,
-            status: "panicked",
-            admitted_ns: 100,
-            completed_ns: 400,
-            ..JobTrace::default()
-        });
-        let kept = ring.snapshot();
-        assert_eq!(kept[0].job_id, 2);
-        assert_eq!(kept[0].status_str(), "panicked");
-        assert!(!kept[0].is_ok());
-        assert_eq!(kept[1].status_str(), "ok");
+    /// What the gateway's `TraceBody` renders of a trace: the labels, the
+    /// status, the four stage durations and the total.
+    fn rendered(t: &JobTrace) -> (u64, &str, &str, &str, &str, [u64; 5]) {
+        let stages = [
+            t.queue_wait_ns(),
+            t.solve_ns(),
+            t.estimate_ns(),
+            t.family_lock_wait_ns,
+            t.total_ns(),
+        ];
+        (
+            t.job_id,
+            &t.tenant,
+            t.scenario,
+            t.source,
+            t.status_str(),
+            stages,
+        )
     }
 
     #[test]
@@ -432,7 +345,7 @@ mod tests {
                 ..TracerConfig::default()
             },
         );
-        let original = JobTrace {
+        let family_solve = JobTrace {
             job_id: 42,
             tenant: "acme".to_owned(),
             market: "amt".to_owned(),
@@ -448,31 +361,75 @@ mod tests {
             completed_ns: 1000,
             family_lock_wait_ns: 25,
         };
-        let active = tracer.start_trace("job.submit", None);
-        let id = active.trace_id();
-        original.clone().record_spans(&active);
-        drop(active);
-        let stored = tracer.store().get(id).expect("head-sampled");
-        let view = JobTrace::from_spans(&stored.spans).expect("job span present");
-        assert_eq!(format!("{view:?}"), format!("{original:?}"));
-        assert_eq!(stored.tenant, "acme");
-        assert_eq!(stored.market, "amt");
-        assert_eq!(stored.scenario, "RA");
+        // Each stamp shape the service produces, and whether the span tree
+        // holds every stamp (`true`) or only every stage duration.
+        let shapes = [
+            (family_solve.clone(), true),
+            // A cache hit answered at submit: no queue wait, no estimate.
+            (
+                JobTrace {
+                    source: "cache",
+                    enqueued_ns: 100,
+                    dequeued_ns: 100,
+                    solve_start_ns: 105,
+                    solve_end_ns: 140,
+                    estimate_end_ns: 140,
+                    completed_ns: 140,
+                    family_lock_wait_ns: 0,
+                    ..family_solve.clone()
+                },
+                true,
+            ),
+            // A failure before the solve (an invalid problem): no labels,
+            // no `solve` span.
+            (
+                JobTrace {
+                    scenario: "",
+                    source: "",
+                    status: "failed",
+                    solve_start_ns: 0,
+                    solve_end_ns: 0,
+                    estimate_end_ns: 0,
+                    family_lock_wait_ns: 0,
+                    ..family_solve.clone()
+                },
+                true,
+            ),
+            // A failure after a cache miss: the solve began but no plan
+            // existed, so the empty `solve` span reads back as ending where
+            // it started.
+            (
+                JobTrace {
+                    scenario: "",
+                    source: "",
+                    status: "panicked",
+                    solve_end_ns: 0,
+                    estimate_end_ns: 0,
+                    family_lock_wait_ns: 0,
+                    ..family_solve.clone()
+                },
+                false,
+            ),
+        ];
+        for (original, lossless) in shapes {
+            let active = tracer.start_trace("job.submit", None);
+            let id = active.trace_id();
+            original.clone().record_spans(&active);
+            drop(active);
+            let stored = tracer.store().get(id).expect("head-sampled");
+            let view = JobTrace::from_spans(&stored.spans).expect("job span present");
+            assert_eq!(rendered(&view), rendered(&original), "{original:?}");
+            if lossless {
+                assert_eq!(format!("{view:?}"), format!("{original:?}"));
+            }
+            assert_eq!(stored.tenant, "acme");
+            assert_eq!(stored.market, "amt");
+            assert_eq!(stored.scenario, original.scenario);
+        }
     }
 
     #[test]
     fn from_spans_without_job_span_is_none() {
         assert!(JobTrace::from_spans(&[]).is_none());
-    }
-
-    #[test]
-    fn ring_fast_path_skips_slow_enough_traces() {
-        let ring = SlowestRing::new(2);
-        ring.offer(&trace(1, 100));
-        ring.offer(&trace(2, 200));
-        // Ring full; floor is 100 — this one must not displace anything.
-        ring.offer(&trace(3, 40));
-        let kept: Vec<u64> = ring.snapshot().iter().map(|t| t.job_id).collect();
-        assert_eq!(kept, vec![2, 1]);
     }
 }

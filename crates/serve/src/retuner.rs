@@ -3,11 +3,11 @@
 //! The paper's pipeline tunes once, posts the job and waits — but the rate
 //! parameters it tunes against are probe estimates (§3.3) that drift with
 //! market conditions. The [`Retuner`] closes the loop: it subscribes to the
-//! market's event stream (as a
-//! [`MarketController`]),
-//! re-estimates the on-hold rate curve from the *observed* acceptance delays
-//! of the job's own repetitions, and when the observations have drifted away
-//! from the current belief it re-solves the H-Tuning problem for the
+//! market's event stream (as a [`MarketController`]), re-estimates the
+//! on-hold rate curve from the *observed* acceptance delays of the job's own
+//! repetitions (in a [`DriftWindow`], the registry's sliding-window censored
+//! MLE, kept per job), and when the observations have drifted away from the
+//! current belief it re-solves the H-Tuning problem for the
 //! **remaining** repetitions and **remaining** budget
 //! (via [`HTuningProblem::remaining_after`]) and re-allocates the unspent
 //! budget. Payments already committed to published repetitions are never
@@ -25,7 +25,7 @@ use crowdtune_core::tuner::{StrategyChoice, Tuner};
 use crowdtune_market::control::{ControlAction, MarketController, MarketView};
 use crowdtune_market::events::{Event, RepetitionId};
 use crowdtune_market::time::SimTime;
-use crowdtune_market::MarketRegistry;
+use crowdtune_market::{DriftWindow, MarketRegistry};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -82,15 +82,14 @@ pub struct Retuner {
     /// Current market belief; starts at the problem's rate model and is
     /// replaced whenever drift is confirmed.
     belief: Arc<dyn RateModel>,
-    /// Publish time and committed payment of every published repetition.
-    published: BTreeMap<RepetitionId, (SimTime, u64)>,
     /// Published-but-not-yet-accepted repetitions and the start of their
     /// current exposure window. Their waiting-so-far counts as censored
     /// exposure; ignoring it would condition on early acceptance and bias
     /// the rate estimates upward (only the quick acceptances are seen).
     pending: BTreeMap<RepetitionId, (SimTime, u64)>,
-    /// Completed on-hold durations, grouped by payment.
-    observations: BTreeMap<u64, Vec<f64>>,
+    /// Completed on-hold durations per payment, the most recent
+    /// [`RetunePolicy::observation_window`] of each.
+    observations: DriftWindow,
     completions_since_check: u32,
     stats: RetuneStats,
     /// When set, every acceptance observation is also forwarded into the
@@ -109,9 +108,8 @@ impl Retuner {
             strategy,
             policy,
             belief,
-            published: BTreeMap::new(),
             pending: BTreeMap::new(),
-            observations: BTreeMap::new(),
+            observations: DriftWindow::default(),
             completions_since_check: 0,
             stats: RetuneStats::default(),
             evidence_sink: None,
@@ -146,28 +144,28 @@ impl Retuner {
     /// MLE sampling noise, which oscillates the plan and *hurts* latency.
     const SIGNIFICANCE_Z: f64 = 3.0;
 
-    /// Observed `(price, rate, weight)` triples for every price with enough
-    /// data to estimate: the censored exponential MLE
-    /// `λ̂ = events / (Σ completed durations + Σ pending exposure)`, which is
-    /// unbiased under right-censoring where the naive completed-only
-    /// estimator is badly optimistic early in a window.
-    fn observed_rates(&self, now: SimTime) -> Vec<(f64, f64, f64)> {
+    /// Observed `(price, rate, weight)` triples, prices ascending, for every
+    /// price with at least two acceptances: the window's censored
+    /// exponential MLE `λ̂ = events / (Σ completed durations + Σ pending
+    /// exposure)`, which is unbiased under right-censoring where the naive
+    /// completed-only estimator is badly optimistic early in a window. The
+    /// pending exposure at each observed price is first set to the open
+    /// repetitions' waiting time as of `now`.
+    fn observed_rates(&mut self, now: SimTime) -> Vec<(f64, f64, f64)> {
         let mut exposure_by_price: BTreeMap<u64, f64> = BTreeMap::new();
         for &(since, payment) in self.pending.values() {
             *exposure_by_price.entry(payment).or_default() += now.since(since);
         }
-        self.observations
-            .iter()
-            .filter(|(_, durations)| durations.len() >= 2)
-            .filter_map(|(&payment, durations)| {
-                let events = durations.len() as f64;
-                let exposure: f64 = durations.iter().sum::<f64>()
-                    + exposure_by_price.get(&payment).copied().unwrap_or(0.0);
-                if exposure > 0.0 {
-                    Some((payment as f64, events / exposure, events))
-                } else {
-                    None
-                }
+        let prices = self.observations.observed_prices();
+        for &price in &prices {
+            let exposure = exposure_by_price.get(&price).copied().unwrap_or(0.0);
+            self.observations.set_pending(price, exposure);
+        }
+        prices
+            .into_iter()
+            .filter_map(|price| {
+                let (rate, events) = self.observations.estimate(price)?;
+                (events >= 2).then_some((price as f64, rate, events as f64))
             })
             .collect()
     }
@@ -230,8 +228,7 @@ impl Retuner {
     /// and the remaining job could be re-tuned.
     fn evaluate(&mut self, now: SimTime, view: &MarketView<'_>) -> ControlAction {
         self.stats.evaluations += 1;
-        let total_observations: usize = self.observations.values().map(Vec::len).sum();
-        if total_observations < self.policy.min_observations {
+        if self.observations.observations() < self.policy.min_observations {
             return ControlAction::Continue;
         }
         let observed = self.observed_rates(now);
@@ -305,7 +302,6 @@ impl MarketController for Retuner {
             Event::Publish(rep) => {
                 let payment =
                     view.allocation.task_payments(rep.task)[rep.repetition as usize].as_units();
-                self.published.insert(rep, (time, payment));
                 self.pending.insert(rep, (time, payment));
                 ControlAction::Continue
             }
@@ -314,14 +310,11 @@ impl MarketController for Retuner {
                     if let Some((registry, market)) = &self.evidence_sink {
                         let _ = registry.observe_acceptance(*market, payment, time.since(since));
                     }
-                    let window = self.observations.entry(payment).or_default();
-                    window.push(time.since(since));
-                    let overflow = window
-                        .len()
-                        .saturating_sub(self.policy.observation_window.max(1));
-                    if overflow > 0 {
-                        window.drain(..overflow);
-                    }
+                    self.observations.push(
+                        payment,
+                        time.since(since),
+                        self.policy.observation_window,
+                    );
                 }
                 ControlAction::Continue
             }
@@ -356,6 +349,122 @@ mod tests {
             Arc::new(LinearRate::new(1.0, 0.0).unwrap()),
         )
         .unwrap()
+    }
+
+    /// The window and estimator the re-tuner kept before it read a
+    /// [`DriftWindow`]: completed delays per payment, the oldest evicted
+    /// past `window`, and the censored MLE over them with the open
+    /// repetitions' waiting time as exposure.
+    fn reference_push(window: &mut BTreeMap<u64, Vec<f64>>, payment: u64, delay: f64, cap: usize) {
+        let durations = window.entry(payment).or_default();
+        durations.push(delay);
+        let overflow = durations.len().saturating_sub(cap.max(1));
+        durations.drain(..overflow);
+    }
+
+    fn reference_rates(
+        window: &BTreeMap<u64, Vec<f64>>,
+        pending: &BTreeMap<RepetitionId, (SimTime, u64)>,
+        now: SimTime,
+    ) -> Vec<(f64, f64, f64)> {
+        let mut exposure_by_price: BTreeMap<u64, f64> = BTreeMap::new();
+        for &(since, payment) in pending.values() {
+            *exposure_by_price.entry(payment).or_default() += now.since(since);
+        }
+        window
+            .iter()
+            .filter(|(_, durations)| durations.len() >= 2)
+            .filter_map(|(&payment, durations)| {
+                let events = durations.len() as f64;
+                let exposure: f64 = durations.iter().sum::<f64>()
+                    + exposure_by_price.get(&payment).copied().unwrap_or(0.0);
+                (exposure > 0.0).then(|| (payment as f64, events / exposure, events))
+            })
+            .collect()
+    }
+
+    /// `observed_rates` over the shared [`DriftWindow`] returns the
+    /// reference estimator's triples bit for bit, on seeded random streams
+    /// over five prices that keep repetitions open at every check.
+    #[test]
+    fn observed_rates_match_the_reference_estimator_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        const TASKS: usize = 5;
+        const REPS: usize = 400;
+        // Payments cycle through 1..=5 along every task's repetitions.
+        let allocation = Allocation::from_matrix(
+            (0..TASKS)
+                .map(|task| {
+                    (0..REPS)
+                        .map(|rep| Payment::units(1 + ((task + rep) % 5) as u64))
+                        .collect()
+                })
+                .collect(),
+        );
+        let counts = vec![0u32; TASKS];
+        let view = MarketView {
+            completed: &counts,
+            published: &counts,
+            committed_units: 0,
+            allocation: &allocation,
+        };
+        let bits = |rates: &[(f64, f64, f64)]| -> Vec<[u64; 3]> {
+            rates
+                .iter()
+                .map(|&(price, rate, weight)| [price.to_bits(), rate.to_bits(), weight.to_bits()])
+                .collect()
+        };
+        let mut widest = 0;
+        for cap in [4, 64] {
+            for seed in 0..50 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let policy = RetunePolicy {
+                    observation_window: cap,
+                    ..RetunePolicy::default()
+                };
+                let mut retuner = Retuner::new(problem(1, 1, 10), StrategyChoice::Auto, policy);
+                let mut reference = BTreeMap::new();
+                let mut next_rep = [0u32; TASKS];
+                let mut open: Vec<RepetitionId> = Vec::new();
+                let mut now = 0.0;
+                for _ in 0..400 {
+                    now += rng.gen::<f64>();
+                    let time = SimTime::new(now);
+                    if open.len() < 3 || rng.gen_bool(0.5) {
+                        let task = rng.gen_range(0..TASKS);
+                        let rep = RepetitionId::new(task, next_rep[task]);
+                        next_rep[task] += 1;
+                        open.push(rep);
+                        retuner.on_event(time, &Event::Publish(rep), &view);
+                    } else {
+                        let rep = open.swap_remove(rng.gen_range(0..open.len()));
+                        let (since, payment) = retuner.pending[&rep];
+                        reference_push(&mut reference, payment, time.since(since), cap);
+                        let accept = Event::Accept {
+                            repetition: rep,
+                            worker: None,
+                        };
+                        retuner.on_event(time, &accept, &view);
+                    }
+                    if rng.gen_bool(0.2) {
+                        assert!(!retuner.pending.is_empty());
+                        let expected = reference_rates(&reference, &retuner.pending, time);
+                        let observed = retuner.observed_rates(time);
+                        assert_eq!(
+                            bits(&observed),
+                            bits(&expected),
+                            "seed {seed}, window {cap}"
+                        );
+                        let held: usize = reference.values().map(Vec::len).sum();
+                        assert_eq!(retuner.observations.observations(), held);
+                        widest = widest.max(observed.len());
+                    }
+                }
+            }
+        }
+        assert!(widest >= 3, "streams must estimate at three or more prices");
     }
 
     /// Feeds the retuner a synthetic event stream whose acceptance delays are

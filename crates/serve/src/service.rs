@@ -30,7 +30,7 @@ use crowdtune_core::tuner::{StrategyChoice, TunedPlan, Tuner};
 use crowdtune_market::MarketRegistry;
 use crowdtune_obs::{
     ActiveTrace, Counter, Gauge, Histogram, JobTrace, LogLevel, Logger, LoggerConfig, Registry,
-    SlowestRing, TraceStart, Tracer, TracerConfig,
+    TraceStart, Tracer, TracerConfig,
 };
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -279,18 +279,19 @@ impl JobHandle {
 /// read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObsLevel {
-    /// No per-job recording: no stage stamps, stage histograms,
-    /// slowest-trace ring or spans (the instrumentation-overhead guard's
-    /// baseline).
+    /// No per-job recording: no stage stamps, stage histograms or spans
+    /// (the instrumentation-overhead guard's baseline).
     Off,
-    /// Stage stamps, per-stage histograms and the slowest-trace ring, but
-    /// no span trees.
+    /// Stage stamps and per-stage histograms, but no span trees, so
+    /// [`TuningService::slowest_traces`] is empty.
     Metrics,
     /// Everything [`ObsLevel::Metrics`] records, plus causal span trees:
     /// every job accumulates spans into an [`ActiveTrace`], and the
     /// [`Tracer`] built from this policy (head-sample rate, slow threshold,
     /// span-store ring size) decides at completion whether the tree is kept
-    /// (see [`TuningService::tracer`]).
+    /// (see [`TuningService::tracer`]). The kept trees are the only job
+    /// traces the service stores; [`TuningService::slowest_traces`] reads
+    /// them.
     Traces(TracerConfig),
 }
 
@@ -405,8 +406,7 @@ impl ServiceMetrics {
     }
 }
 
-/// Completed traces retained by the slowest-trace ring
-/// (see [`TuningService::slowest_traces`]).
+/// Most traces [`TuningService::slowest_traces`] lists.
 const SLOWEST_CAPACITY: usize = 32;
 
 /// Scenario label values, indexed by [`scenario_index`].
@@ -472,7 +472,7 @@ fn stage_family(
 }
 
 /// The service's telemetry spine: the registry every layer publishes into,
-/// the per-stage histograms, and the slowest-trace ring. With `enabled ==
+/// the per-stage histograms and the tracer. With `enabled ==
 /// false` ([`ObsLevel::Off`]) every stamp helper returns 0 and per-job
 /// recording is skipped — the hot path pays one branch.
 struct Telemetry {
@@ -484,7 +484,6 @@ struct Telemetry {
     /// histogram family is indexed by position in this list.
     market_names: Vec<String>,
     stage: StageHists,
-    slowest: SlowestRing,
     /// The causal-tracing engine; `None` below [`ObsLevel::Traces`] — the
     /// hot path then pays exactly what it paid before spans existed.
     tracer: Option<Arc<Tracer>>,
@@ -589,7 +588,6 @@ impl Telemetry {
             epoch: Instant::now(),
             market_names,
             stage,
-            slowest: SlowestRing::new(SLOWEST_CAPACITY),
             tracer,
             logger,
             pending_gauge,
@@ -632,8 +630,8 @@ impl Telemetry {
         Some((mi, si, pi))
     }
 
-    /// Folds a completed trace into the per-stage histograms and offers it
-    /// to the slowest ring.
+    /// Folds a completed trace into the per-stage histograms. Failed and
+    /// panicked jobs never set scenario/source labels, so they skip them.
     fn record_job(&self, trace: &JobTrace) {
         if let Some((mi, si, pi)) = self.market_scenario_source(trace) {
             self.stage.queue_wait[mi][si][pi].record(trace.queue_wait_ns());
@@ -644,12 +642,6 @@ impl Telemetry {
                 self.stage.lock_wait[mi][si][pi].record(trace.family_lock_wait_ns);
             }
         }
-        // Failed/panicked jobs never set scenario/source labels, so they
-        // skip the per-stage histograms above — but the slowest ring must
-        // still see them: the worst outcomes are exactly what
-        // `/v1/debug/slowest` exists to surface. They carry a non-`"ok"`
-        // [`JobTrace::status`].
-        self.slowest.offer(trace);
     }
 
     /// Folds a finished job's trace on the thread that answered it — the
@@ -1538,12 +1530,26 @@ impl TuningService {
             .set(self.live_workers.load(Ordering::Acquire) as i64);
     }
 
-    /// The slowest completed traces, slowest first — the payload of the
-    /// gateway's `GET /v1/debug/slowest`. Includes failed and panicked jobs
-    /// (their [`JobTrace::status`] is non-`"ok"`). Empty when telemetry is
-    /// off.
+    /// The slowest job traces the tracer kept, slowest first and at most
+    /// 32 — the payload of the gateway's `GET /v1/debug/slowest`. Each is
+    /// [`JobTrace::from_spans`] of a stored span tree; trees without a `job`
+    /// span (e.g. `router.route`) are skipped. Tail sampling keeps every
+    /// failed, panicked or slow job, so those are listed while their trace
+    /// is in the store; a fast successful job is listed only if it was
+    /// head-sampled. Empty below [`ObsLevel::Traces`].
     pub fn slowest_traces(&self) -> Vec<JobTrace> {
-        self.telemetry.slowest.snapshot()
+        let Some(tracer) = &self.telemetry.tracer else {
+            return Vec::new();
+        };
+        let mut traces: Vec<JobTrace> = tracer
+            .store()
+            .snapshot()
+            .iter()
+            .filter_map(|stored| JobTrace::from_spans(&stored.spans))
+            .collect();
+        traces.sort_by_key(|trace| std::cmp::Reverse(trace.total_ns()));
+        traces.truncate(SLOWEST_CAPACITY);
+        traces
     }
 
     /// The causal-tracing engine, when tracing is on: the span clock, the
@@ -1846,11 +1852,11 @@ fn worker_loop(ctx: &WorkerContext) {
         // Completion hook *after* the send: by the time an event loop is
         // woken, `try_result` is guaranteed to yield the outcome.
         notify.fire();
-        // Fold the trace in *after* responding — the histograms, the
-        // slowest ring and the span render are off the submitter's latency
-        // path. Failed and panicked jobs are folded too: they carry their
-        // status into the slowest ring and mark their span tree errored
-        // (which tail-samples the trace).
+        // Fold the trace in *after* responding — the histograms and the
+        // span render are off the submitter's latency path. Failed and
+        // panicked jobs are folded too: their status marks the span tree
+        // errored, which tail-samples the trace into the store behind
+        // `slowest_traces`.
         if telemetry.enabled {
             trace.status = status;
             trace.completed_ns = telemetry.now_ns();
@@ -2769,10 +2775,10 @@ mod tests {
         }
     }
 
-    /// Satellite regression: a job that *fails* must still reach the
-    /// slowest ring (carrying its status) and — because failures are
-    /// errors — must be tail-sampled into the span store even when head
-    /// sampling is off and the job was fast.
+    /// A job that *fails* is tail-sampled into the span store (failures
+    /// are errors) even when head sampling is off and the job was fast, so
+    /// it reaches the slowest list carrying its status; a fast job that
+    /// succeeds is not kept, so it is not listed.
     #[test]
     fn failed_jobs_reach_the_ring_and_are_tail_sampled() {
         let service = TuningService::start(ServiceConfig {
@@ -2790,6 +2796,7 @@ mod tests {
             parent: crowdtune_obs::SpanId(1),
             sampled: false,
         };
+        service.tune(request("acme", 5, 60)).unwrap();
         let hostile = JobRequest {
             rate_model: Arc::new(PanickingRate),
             ..request("acme", 5, 60)
@@ -2803,10 +2810,11 @@ mod tests {
         let slowest = poll_until(
             || {
                 let slowest = service.slowest_traces();
-                (!slowest.is_empty()).then_some(slowest)
+                slowest.iter().any(|t| !t.is_ok()).then_some(slowest)
             },
-            "failed job's ring entry",
+            "failed job's slowest entry",
         );
+        assert_eq!(slowest.len(), 1, "only the failed job is kept: {slowest:?}");
         assert_eq!(slowest[0].status_str(), "panicked");
         assert!(!slowest[0].is_ok());
         let tracer = service.tracer().expect("tracing on");
@@ -2814,6 +2822,49 @@ mod tests {
         assert_eq!(stored.reason, crowdtune_obs::SampleReason::TailError);
         assert_eq!(stored.status, crowdtune_obs::SpanStatus::Error);
         assert_eq!(stored.tenant, "acme");
+        service.shutdown();
+    }
+
+    /// The slowest list is a view over the span store: the 32 job traces
+    /// with the largest totals, slowest first, skipping traces without a
+    /// `job` span such as `router.route`.
+    #[test]
+    fn slowest_traces_are_the_slowest_kept_job_traces() {
+        let service = TuningService::start(ServiceConfig {
+            workers: 1,
+            obs: ObsLevel::Traces(TracerConfig {
+                head_sample_every: 1,
+                capacity: 64,
+                ..TracerConfig::default()
+            }),
+            ..ServiceConfig::default()
+        });
+        let job = request("acme", 5, 60);
+        service.route(&job.task_set, job.budget).unwrap();
+        for budget in 60..100 {
+            service.tune(request("acme", 5, budget)).unwrap();
+        }
+        let tracer = service.tracer().expect("tracing on");
+        let stored = poll_until(
+            || {
+                let stored = tracer.store().snapshot();
+                (stored.len() == 41).then_some(stored)
+            },
+            "41 kept traces",
+        );
+        assert!(stored.iter().any(|t| t.name == "router.route"));
+        let mut totals: Vec<u64> = stored
+            .iter()
+            .filter_map(|t| JobTrace::from_spans(&t.spans))
+            .map(|t| t.total_ns())
+            .collect();
+        assert_eq!(totals.len(), 40);
+        totals.sort_unstable_by(|a, b| b.cmp(a));
+        totals.truncate(SLOWEST_CAPACITY);
+        let slowest = service.slowest_traces();
+        assert_eq!(slowest.len(), 32);
+        let listed: Vec<u64> = slowest.iter().map(JobTrace::total_ns).collect();
+        assert_eq!(listed, totals);
         service.shutdown();
     }
 
@@ -2890,7 +2941,8 @@ mod tests {
     }
 
     /// `ObsLevel::Metrics` (like `ObsLevel::Off`) keeps the tracer out of
-    /// the pipeline: no tracer handle, and jobs still serve.
+    /// the pipeline: no tracer handle, no stored traces to list, and jobs
+    /// still serve.
     #[test]
     fn tracing_can_be_disabled_independently() {
         let service = TuningService::start(ServiceConfig {
@@ -2900,12 +2952,7 @@ mod tests {
         });
         assert!(service.tracer().is_none());
         service.tune(request("acme", 5, 60)).unwrap();
-        // The stamp-based debug surface still works without spans.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while service.slowest_traces().is_empty() {
-            assert!(Instant::now() < deadline, "ring entry never settled");
-            std::thread::yield_now();
-        }
+        assert!(service.slowest_traces().is_empty());
         service.shutdown();
     }
 }

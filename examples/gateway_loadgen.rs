@@ -521,7 +521,7 @@ fn main() {
 
     // -- Endpoint pass: per-endpoint percentiles over one keep-alive client.
     // Uses the warm post-load service so reads hit realistic state (filled
-    // cache, populated registry and slowest ring).
+    // cache, populated registry and span store).
     let ep_rounds = if quick { 60 } else { 300 };
     let mut endpoint_rows: Vec<(String, f64, f64, f64)> =
         vec![("post_jobs_wait".to_owned(), http_p50, http_p90, http_p99)];
