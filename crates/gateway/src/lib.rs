@@ -5,8 +5,9 @@
 //! boundary of the crowdtune stack. No async runtime, no HTTP crate — an
 //! **event-driven reactor** over non-blocking sockets ([`server`], readiness
 //! from an epoll-backed poller) drives every connection as a
-//! small state machine, a hand-rolled bounded parser ([`http`]) handles
-//! incremental reads, and self-contained JSON wire forms ([`wire`]) are
+//! small state machine, a hand-rolled bounded parser ([`http`]) reads each
+//! request straight from its connection's buffer as bytes arrive, and
+//! self-contained JSON wire forms ([`wire`]) are
 //! built on the same `RateSpec`/`TaskGroupSpec` catalogue the durable store
 //! persists — anything a client can submit is journal-able, and every plan
 //! served over the wire is **bit-identical** to an in-process `submit` of

@@ -30,8 +30,8 @@ pub(crate) const ENDPOINT_LABELS: [&str; 9] = [
 /// never emits 1xx/3xx, so anything outside 2xx/4xx folds into `5xx`.
 const CLASS_LABELS: [&str; 3] = ["2xx", "4xx", "5xx"];
 
-/// The `class` label values for parse rejects, mirroring the
-/// [`RequestError`] variants that map to a response.
+/// The `class` label values for parse rejects, one per [`RequestError`]
+/// variant.
 const REJECT_LABELS: [&str; 4] = [
     "malformed",
     "headers_too_large",
@@ -224,27 +224,15 @@ impl GatewayMetrics {
         self.auth_rejects[reason as usize].inc();
     }
 
-    /// Counts a request that failed before routing. Parse failures bump the
-    /// classed reject counter; a timed-out transport bumps the timeout
-    /// counter; other transport failures (torn sockets, clean disconnects
-    /// mid-request) are not an error class worth a series.
+    /// Counts a request refused by the parser, by class. (Timeouts are
+    /// counted where the reactor's timers fire; a peer that closes
+    /// mid-request is not an error class worth a series.)
     pub fn request_failed(&self, error: &RequestError) {
         match error {
             RequestError::Malformed(_) => self.parse_rejects[0].inc(),
             RequestError::HeadersTooLarge => self.parse_rejects[1].inc(),
             RequestError::BodyTooLarge { .. } => self.parse_rejects[2].inc(),
             RequestError::Unsupported(_) => self.parse_rejects[3].inc(),
-            // The deadline stream reports `TimedOut`; an expired socket read
-            // timeout (idle keep-alive) surfaces as `WouldBlock` on Unix.
-            RequestError::Io(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-                ) =>
-            {
-                self.connections_timed_out.inc();
-            }
-            RequestError::Io(_) => {}
         }
     }
 }

@@ -49,7 +49,7 @@
 //!
 //! Each reactor thread owns a readiness poller (the `reactor` module), the
 //! listener, and every connection it accepted. A connection is a small state
-//! machine — reading (accumulate + incrementally parse), dispatched (job
+//! machine — reading (accumulate bytes, parse the buffer), dispatched (job
 //! handed to the tuner pool), then writing from a buffer — driven entirely
 //! by readiness events and a timer heap, so **idle keep-alive connections
 //! cost a registration, not a thread**: tens of thousands of idle clients
@@ -73,8 +73,7 @@
 
 use crate::auth::HashedKeys;
 use crate::http::{
-    parse_buffered, render_response, write_response, Limits, ParsedRequest, Request, RequestError,
-    Response,
+    parse_buffered, render_response, Limits, ParsedRequest, Request, RequestError, Response,
 };
 use crate::metrics::{AuthReject, Endpoint, GatewayMetrics};
 use crate::reactor::{waker, Interest, PollEvent, Poller, WakeReceiver, Waker};
@@ -84,7 +83,7 @@ use crate::wire::{
 };
 use crowdtune_obs::span::enter_span;
 use crowdtune_obs::{
-    ActiveTrace, AttrValue, LogLevel, SpanStatus, StoredTrace, TraceContext, TraceId,
+    ActiveTrace, AttrValue, LogLevel, SpanStatus, StoredTrace, TokenBucket, TraceContext, TraceId,
 };
 use crowdtune_serve::{
     AdmissionError, HealthState, JobHandle, ServeError, ServedPlan, TuningService,
@@ -343,11 +342,6 @@ struct GatewayState {
     metrics: GatewayMetrics,
 }
 
-struct TokenBucket {
-    tokens: f64,
-    refilled_at: Instant,
-}
-
 /// Spends one token from `tenant`'s bucket, or reports how many whole
 /// seconds until one accrues (the `Retry-After` value, at least 1).
 fn try_take_token(state: &GatewayState, tenant: &str, quota: &QuotaConfig) -> Result<(), u64> {
@@ -355,21 +349,14 @@ fn try_take_token(state: &GatewayState, tenant: &str, quota: &QuotaConfig) -> Re
     let burst = quota.burst.max(1.0);
     let now = Instant::now();
     let mut buckets = state.quota_buckets.lock().expect("quota buckets poisoned");
-    let bucket = buckets
+    buckets
         .entry(tenant.to_owned())
         .or_insert_with(|| TokenBucket {
             tokens: burst,
             refilled_at: now,
-        });
-    let elapsed = now.duration_since(bucket.refilled_at).as_secs_f64();
-    bucket.tokens = (bucket.tokens + elapsed * rate).min(burst);
-    bucket.refilled_at = now;
-    if bucket.tokens >= 1.0 {
-        bucket.tokens -= 1.0;
-        Ok(())
-    } else {
-        Err(((1.0 - bucket.tokens) / rate).ceil().max(1.0) as u64)
-    }
+        })
+        .try_take(now, rate, burst)
+        .map_err(|deficit| (deficit / rate).ceil().max(1.0) as u64)
 }
 
 /// The running gateway. Dropping it (or calling [`Gateway::shutdown`])
@@ -717,8 +704,9 @@ impl Reactor {
                 503,
                 ErrorBody::new("overloaded", "gateway is at its connection cap"),
             );
-            if let Ok(sent) = write_response(&mut stream, &body, false) {
-                state.metrics.bytes_out.add(sent as u64);
+            let bytes = render_response(&body, false);
+            if stream.write_all(&bytes).is_ok() {
+                state.metrics.bytes_out.add(bytes.len() as u64);
             }
             return;
         }
@@ -1003,12 +991,8 @@ impl Reactor {
                     conn.reads_done = true;
                     Self::clear_deadline(conn);
                     conn.phase = Phase::Idle;
-                    if let Some(status) = error.status() {
-                        let body = error_response(status, request_error_body(&error));
-                        self.queue_response(conn, body, false);
-                    } else {
-                        return false;
-                    }
+                    let body = error_response(error.status(), request_error_body(&error));
+                    self.queue_response(conn, body, false);
                     return true;
                 }
             }
@@ -1082,8 +1066,8 @@ impl Reactor {
             conn.close_after_write = true;
             conn.reads_done = true;
         } else if conn.pending_write() {
-            // Kernel buffer full: bound the stall like the old write
-            // timeout did.
+            // Kernel buffer full: the stall deadline closes the connection
+            // if the peer stops reading.
             self.arm_deadline(conn, Instant::now() + self.state.config.keep_alive_timeout);
         }
     }
@@ -1142,7 +1126,6 @@ fn request_error_body(error: &RequestError) -> ErrorBody {
         RequestError::HeadersTooLarge => "headers_too_large",
         RequestError::BodyTooLarge { .. } => "body_too_large",
         RequestError::Unsupported(_) => "unsupported",
-        RequestError::Io(_) => "transport",
     };
     ErrorBody::new(code, error.to_string())
 }

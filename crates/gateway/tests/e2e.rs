@@ -3,8 +3,9 @@
 //! happy paths (sync and async submission, polling, metrics, health), the
 //! full error mapping (400/404/405/422/429/503), plan bit-identity against
 //! in-process submits, keep-alive + pipelining, malformed-input resilience,
-//! drain semantics, and the `StoreStats::dropped` metrics exposure under a
-//! forced-full write-behind queue.
+//! torn and trickled requests, drain semantics, and the
+//! `StoreStats::dropped` metrics exposure under a forced-full write-behind
+//! queue.
 
 use crowdtune_core::rate::{LinearRate, RateSpec};
 use crowdtune_core::task::TaskGroupSpec;
@@ -16,7 +17,7 @@ use crowdtune_serve::{
 };
 use serde::Value;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -540,10 +541,10 @@ fn unpolled_async_jobs_are_bounded_not_leaked() {
     gateway.shutdown();
 }
 
-/// A client trickling bytes slower than the request deadline must not pin
-/// a pool thread forever: the connection is closed once the whole-request
-/// deadline passes, even though each individual read stays under the
-/// keep-alive timeout.
+/// A client trickling bytes slower than the request deadline must not hold
+/// its connection open forever: the reactor's timer closes it once the
+/// whole-request deadline passes, even though each fragment arrives inside
+/// the keep-alive timeout, and counts it as a timeout, not a parse reject.
 #[test]
 fn trickled_requests_hit_the_request_deadline() {
     let (_service, gateway) = start_gateway(
@@ -557,8 +558,9 @@ fn trickled_requests_hit_the_request_deadline() {
     let addr = gateway.local_addr();
     let mut trickler = Client::connect(addr);
     let started = std::time::Instant::now();
-    // One header fragment per 150ms: each read beats the 400ms socket
-    // timeout, so only the total deadline can stop this.
+    // One header fragment per 150 ms, each inside the 400 ms keep-alive
+    // timeout: only the 600 ms request deadline, armed at the first byte,
+    // can stop this.
     trickler.send_raw("GET /healthz HTTP/1.1\r\n");
     let mut closed = false;
     for fragment in 0..40 {
@@ -586,9 +588,68 @@ fn trickled_requests_hit_the_request_deadline() {
         started.elapsed() < Duration::from_secs(5),
         "cut-off must come from the deadline, not the 6s of drip"
     );
-    // The pool thread is free again: a well-behaved client is served.
-    let health = one_shot(addr, "GET", "/healthz", None);
+    // The reactor still serves a well-behaved client, and its timer, not
+    // the parser, ended the trickler.
+    let mut client = Client::connect(addr);
+    let health = client.request("GET", "/healthz", None);
     assert_eq!(health.status, 200);
+    let metrics = client.request("GET", "/v1/metrics?format=prometheus", None);
+    assert_eq!(metrics.status, 200);
+    assert_eq!(
+        prom_value(
+            &metrics.body,
+            "crowdtune_gateway_connections_timed_out_total",
+            ""
+        ),
+        Some(1)
+    );
+    assert_no_parse_rejects(&metrics.body);
+    gateway.shutdown();
+}
+
+/// Every `crowdtune_gateway_parse_rejects_total` class reads 0.
+fn assert_no_parse_rejects(exposition: &str) {
+    for class in [
+        "malformed",
+        "headers_too_large",
+        "body_too_large",
+        "unsupported",
+    ] {
+        assert_eq!(
+            prom_value(
+                exposition,
+                "crowdtune_gateway_parse_rejects_total",
+                &format!("class=\"{class}\"")
+            ),
+            Some(0),
+            "parse rejects, class {class}"
+        );
+    }
+}
+
+/// A client that sends part of a request and then shuts down its write
+/// half gets no answer: the reactor drops the torn request and closes
+/// without writing a byte, counts no parse reject, and keeps serving.
+#[test]
+fn torn_requests_close_without_an_answer() {
+    let (_service, gateway) = start_gateway(ServiceConfig::default(), GatewayConfig::default());
+    let addr = gateway.local_addr();
+    let mut client = Client::connect(addr);
+    client.send_raw("POST /v1/jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{");
+    client.stream.shutdown(Shutdown::Write).unwrap();
+    let mut answer = Vec::new();
+    client
+        .reader
+        .read_to_end(&mut answer)
+        .expect("the gateway closes the connection");
+    assert!(
+        answer.is_empty(),
+        "torn request answered: {:?}",
+        String::from_utf8_lossy(&answer)
+    );
+    let metrics = one_shot(addr, "GET", "/v1/metrics?format=prometheus", None);
+    assert_eq!(metrics.status, 200);
+    assert_no_parse_rejects(&metrics.body);
     gateway.shutdown();
 }
 
@@ -713,7 +774,7 @@ fn observability_endpoints_over_http() {
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "slowest ring never filled: {}",
+            "slowest list never filled: {}",
             response.body
         );
         std::thread::yield_now();
@@ -732,7 +793,7 @@ fn observability_endpoints_over_http() {
             Value::U64(v) => *v as f64,
             other => panic!("total_seconds is {other:?}"),
         };
-        assert!(total <= last_total, "ring not sorted slowest-first");
+        assert!(total <= last_total, "slowest list not sorted slowest-first");
         assert!(total >= 0.0);
         last_total = total;
     }

@@ -1,52 +1,42 @@
-//! Seeded property/fuzz tests of the gateway's HTTP parser (and the server
-//! behind it): the parser must **never panic** and must classify every
-//! input as a request, a clean close, or a typed error that maps to a 4xx/
-//! 5xx response — across malformed request lines, oversized heads, torn
-//! reads at every byte boundary, and pipelined requests.
+//! Seeded property/fuzz tests of the gateway's HTTP parser: it must
+//! **never panic** and must classify every buffer as a complete request, a
+//! prefix that waits for more bytes, or a typed error that maps to a 4xx/
+//! 5xx response — across malformed request lines, oversized heads, requests
+//! torn at every byte boundary, and pipelined requests.
 
-use crowdtune_gateway::http::{read_request, Limits, Request, RequestError};
+use crowdtune_gateway::http::{parse_buffered, Limits, ParsedRequest, Request, RequestError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io::{BufReader, Read};
 
-/// A reader that yields its data in caller-chosen chunks, simulating torn
-/// socket reads. Wrapped in a tiny-capacity `BufReader` so each `fill_buf`
-/// surfaces at most one chunk to the parser.
-struct Torn {
-    data: Vec<u8>,
-    cuts: Vec<usize>,
-    pos: usize,
+/// `Some((request, consumed))` for a complete request, `None` for a buffer
+/// that ends before the request does.
+fn parse(buf: &[u8], limits: &Limits) -> Result<Option<(Request, usize)>, RequestError> {
+    parse_buffered(buf, limits).map(|parsed| match parsed {
+        ParsedRequest::Complete { request, consumed } => Some((request, consumed)),
+        ParsedRequest::Incomplete => None,
+    })
 }
 
-impl Torn {
-    /// Splits `data` at every index in `cuts` (sorted, deduplicated by the
-    /// caller); reads never cross a cut.
-    fn new(data: Vec<u8>, cuts: Vec<usize>) -> Self {
-        Torn { data, cuts, pos: 0 }
-    }
-}
-
-impl Read for Torn {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.pos >= self.data.len() {
-            return Ok(0);
+/// Feeds `data` to the parser the way the reactor does: the bytes arrive in
+/// chunks split at `cuts` (sorted), and after each chunk the buffer is
+/// parsed until it is incomplete, draining every complete request's
+/// `consumed` bytes. Returns each request with the number of bytes that had
+/// arrived when it completed, and the unparsed tail.
+fn feed(data: &[u8], cuts: &[usize], limits: &Limits) -> (Vec<(Request, usize)>, Vec<u8>) {
+    let mut buf = Vec::new();
+    let mut requests = Vec::new();
+    let mut arrived = 0;
+    for end in cuts.iter().copied().chain([data.len()]) {
+        buf.extend_from_slice(&data[arrived..end]);
+        arrived = end;
+        while let Some((request, consumed)) =
+            parse(&buf, limits).unwrap_or_else(|e| panic!("after {arrived} bytes: {e}"))
+        {
+            buf.drain(..consumed);
+            requests.push((request, arrived));
         }
-        let next_cut = self
-            .cuts
-            .iter()
-            .copied()
-            .find(|&c| c > self.pos)
-            .unwrap_or(self.data.len())
-            .min(self.data.len());
-        let n = (next_cut - self.pos).min(buf.len());
-        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
     }
-}
-
-fn parse_whole(text: &[u8], limits: &Limits) -> Result<Option<Request>, RequestError> {
-    read_request(&mut BufReader::new(text), limits)
+    (requests, buf)
 }
 
 fn valid_request(rng: &mut StdRng) -> String {
@@ -73,24 +63,28 @@ fn valid_request(rng: &mut StdRng) -> String {
     text
 }
 
-/// Every valid request parses identically no matter where the transport
-/// tears it — exhaustively, at *every* byte boundary (and at random
-/// multi-cut combinations).
+/// A valid request arriving in pieces parses identically no matter where
+/// the transport tears it: every prefix is incomplete and the whole buffer
+/// parses to the same request — exhaustively, at *every* byte boundary (and
+/// at random multi-cut arrival schedules).
 #[test]
 fn torn_reads_at_every_boundary_parse_identically() {
     let mut rng = StdRng::seed_from_u64(0xB0A7);
     let limits = Limits::default();
     for _ in 0..24 {
         let text = valid_request(&mut rng);
-        let reference = parse_whole(text.as_bytes(), &limits)
+        let bytes = text.as_bytes();
+        let (reference, consumed) = parse(bytes, &limits)
             .expect("valid request parses")
-            .expect("valid request is not EOF");
-        for cut in 1..text.len() {
-            let torn = Torn::new(text.clone().into_bytes(), vec![cut]);
-            let parsed = read_request(&mut BufReader::with_capacity(16, torn), &limits)
-                .unwrap_or_else(|e| panic!("cut at {cut} of {text:?}: {e}"))
-                .expect("torn request still parses");
-            assert_eq!(parsed, reference, "cut at byte {cut}");
+            .expect("whole request is complete");
+        assert_eq!(consumed, bytes.len());
+        // The request completes only once its last byte has arrived, so the
+        // buffer at every cut was an incomplete prefix.
+        let whole = [(reference, bytes.len())];
+        for cut in 0..bytes.len() {
+            let (parsed, rest) = feed(bytes, &[cut], &limits);
+            assert_eq!(parsed, whole, "cut at byte {cut}");
+            assert!(rest.is_empty());
         }
         // A few random many-cut shreddings on top of the exhaustive single
         // cuts.
@@ -100,39 +94,16 @@ fn torn_reads_at_every_boundary_parse_identically() {
                 .collect();
             cuts.sort_unstable();
             cuts.dedup();
-            let torn = Torn::new(text.clone().into_bytes(), cuts.clone());
-            let parsed = read_request(&mut BufReader::with_capacity(8, torn), &limits)
-                .unwrap_or_else(|e| panic!("cuts {cuts:?} of {text:?}: {e}"))
-                .expect("shredded request still parses");
-            assert_eq!(parsed, reference, "cuts {cuts:?}");
+            let (parsed, rest) = feed(bytes, &cuts, &limits);
+            assert_eq!(parsed, whole, "cuts {cuts:?}");
+            assert!(rest.is_empty());
         }
     }
 }
 
-/// Truncating a valid request at any byte is either a clean EOF (nothing
-/// sent yet) or a malformed-request error — never a panic, never a success.
-#[test]
-fn truncations_never_panic_and_never_parse() {
-    let mut rng = StdRng::seed_from_u64(0x7A11);
-    let limits = Limits::default();
-    for _ in 0..16 {
-        let text = valid_request(&mut rng);
-        for cut in 0..text.len() {
-            match parse_whole(&text.as_bytes()[..cut], &limits) {
-                Ok(None) => assert_eq!(cut, 0, "only zero bytes is a clean EOF"),
-                Ok(Some(_)) => panic!("truncated request at {cut} must not parse: {text:?}"),
-                Err(e) => {
-                    let status = e.status().expect("truncation is never an I/O error");
-                    assert_eq!(status, 400, "truncation at {cut} -> {e}");
-                }
-            }
-        }
-    }
-}
-
-/// Random byte soup and mutated requests: the parser always returns — with
-/// any outcome mapping to a response or a close, never a panic. Seeded, so
-/// a failure reproduces.
+/// Random byte soup and mutated requests: the parser always returns — a
+/// request, an incomplete prefix, or an error mapping to a response, never
+/// a panic. Seeded, so a failure reproduces.
 #[test]
 fn random_garbage_is_classified_never_panicking() {
     let mut rng = StdRng::seed_from_u64(0xF022);
@@ -166,16 +137,12 @@ fn random_garbage_is_classified_never_panicking() {
             }
             data
         };
-        match parse_whole(&data, &limits) {
-            Ok(_) => {}
-            Err(e) => {
-                if let Some(status) = e.status() {
-                    assert!(
-                        (400..=599).contains(&status),
-                        "case {case}: status {status} for {e}"
-                    );
-                }
-            }
+        if let Err(e) = parse_buffered(&data, &limits) {
+            let status = e.status();
+            assert!(
+                (400..=599).contains(&status),
+                "case {case}: status {status} for {e}"
+            );
         }
     }
 }
@@ -212,28 +179,32 @@ fn oversized_heads_hit_the_bounds() {
                 text
             }
         };
-        let err = parse_whole(text.as_bytes(), &limits).unwrap_err();
-        assert_eq!(err.status(), Some(431), "kind {kind}");
+        let err = parse_buffered(text.as_bytes(), &limits).unwrap_err();
+        assert_eq!(err.status(), 431, "kind {kind}");
     }
     // Declared bodies beyond the bound are refused from the header alone.
-    let err = parse_whole(b"POST / HTTP/1.1\r\nContent-Length: 65\r\n\r\n", &limits).unwrap_err();
-    assert_eq!(err.status(), Some(413));
+    let err =
+        parse_buffered(b"POST / HTTP/1.1\r\nContent-Length: 65\r\n\r\n", &limits).unwrap_err();
+    assert_eq!(err.status(), 413);
 }
 
 /// Pipelined request streams parse back to back, even shredded by torn
-/// reads, and a trailing partial request is a malformed error — the earlier
-/// requests are unaffected.
+/// reads, and a trailing partial request stays an incomplete tail — the
+/// earlier requests are unaffected.
 #[test]
 fn pipelined_streams_parse_in_order() {
     let mut rng = StdRng::seed_from_u64(0x9199);
     let limits = Limits::default();
+    let requests_of = |parsed: Vec<(Request, usize)>| -> Vec<Request> {
+        parsed.into_iter().map(|(request, _)| request).collect()
+    };
     for _ in 0..32 {
         let count = rng.gen_range(2usize..6);
         let requests: Vec<String> = (0..count).map(|_| valid_request(&mut rng)).collect();
         let stream: String = requests.concat();
         let references: Vec<Request> = requests
             .iter()
-            .map(|r| parse_whole(r.as_bytes(), &limits).unwrap().unwrap())
+            .map(|r| parse(r.as_bytes(), &limits).unwrap().unwrap().0)
             .collect();
 
         let mut cuts: Vec<usize> = (0..rng.gen_range(0usize..12))
@@ -241,34 +212,25 @@ fn pipelined_streams_parse_in_order() {
             .collect();
         cuts.sort_unstable();
         cuts.dedup();
-        let torn = Torn::new(stream.clone().into_bytes(), cuts);
-        let mut reader = BufReader::with_capacity(16, torn);
-        for (i, reference) in references.iter().enumerate() {
-            let parsed = read_request(&mut reader, &limits)
-                .unwrap_or_else(|e| panic!("request {i}: {e}"))
-                .expect("pipelined request present");
-            assert_eq!(&parsed, reference, "pipelined request {i}");
-        }
-        assert!(
-            read_request(&mut reader, &limits).unwrap().is_none(),
-            "stream fully consumed"
-        );
+        let (parsed, rest) = feed(stream.as_bytes(), &cuts, &limits);
+        assert_eq!(requests_of(parsed), references);
+        assert!(rest.is_empty(), "stream fully consumed");
 
-        // The same stream with a torn final request: earlier requests parse,
-        // the tail is malformed (or clean EOF if nothing of it was sent).
+        // The same stream with a torn final request: earlier requests
+        // parse, and the tail waits for bytes that never come.
         let partial = valid_request(&mut rng);
         let cut = rng.gen_range(1usize..partial.len());
         let mut with_tail = stream.into_bytes();
         with_tail.extend_from_slice(&partial.as_bytes()[..cut]);
-        let mut reader = BufReader::with_capacity(16, Torn::new(with_tail, vec![]));
-        for reference in &references {
-            let parsed = read_request(&mut reader, &limits).unwrap().unwrap();
-            assert_eq!(&parsed, reference);
-        }
-        let tail = read_request(&mut reader, &limits);
+        let (parsed, rest) = feed(&with_tail, &[], &limits);
+        assert_eq!(requests_of(parsed), references);
+        assert_eq!(rest, &partial.as_bytes()[..cut]);
         assert!(
-            matches!(tail, Err(RequestError::Malformed(_))),
-            "torn tail must be malformed, got {tail:?}"
+            matches!(
+                parse_buffered(&rest, &limits),
+                Ok(ParsedRequest::Incomplete)
+            ),
+            "torn tail must be incomplete"
         );
     }
 }

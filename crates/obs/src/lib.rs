@@ -39,7 +39,7 @@ pub mod span;
 pub mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot, BUCKET_COUNT, SUB_BUCKET_BITS};
-pub use log::{LogLevel, LogRecord, Logger, LoggerConfig};
+pub use log::{LogLevel, LogRecord, Logger, LoggerConfig, TokenBucket};
 pub use metric::{Counter, Gauge};
 pub use registry::Registry;
 pub use span::{

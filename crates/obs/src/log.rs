@@ -120,9 +120,33 @@ impl Default for LoggerConfig {
     }
 }
 
-struct TokenBucket {
-    tokens: f64,
-    last: Instant,
+/// A token bucket: tokens accrue at a caller-given rate up to a burst cap,
+/// and each admission spends one. The logger's rate limit and the
+/// gateway's per-tenant quotas both use it; each caller passes its own
+/// (clamped) rate and burst on every take.
+#[derive(Debug, Clone, Copy)]
+pub struct TokenBucket {
+    /// Tokens available as of `refilled_at`.
+    pub tokens: f64,
+    /// When `tokens` was last brought up to date.
+    pub refilled_at: Instant,
+}
+
+impl TokenBucket {
+    /// Refills to `min(tokens + elapsed · rate, burst)` as of `now`, then
+    /// spends one token, or returns the deficit: how far the bucket is
+    /// short of one token.
+    pub fn try_take(&mut self, now: Instant, rate: f64, burst: f64) -> Result<(), f64> {
+        let elapsed = now.duration_since(self.refilled_at).as_secs_f64();
+        self.tokens = (self.tokens + elapsed * rate).min(burst);
+        self.refilled_at = now;
+        if self.tokens >= 1.0 {
+            self.tokens -= 1.0;
+            Ok(())
+        } else {
+            Err(1.0 - self.tokens)
+        }
+    }
 }
 
 /// A bounded, rate-limited ring of structured log records.
@@ -133,14 +157,6 @@ pub struct Logger {
     bucket: Mutex<TokenBucket>,
     records: [Counter; 4],
     dropped: Counter,
-}
-
-impl std::fmt::Debug for TokenBucket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TokenBucket")
-            .field("tokens", &self.tokens)
-            .finish()
-    }
 }
 
 impl Logger {
@@ -164,7 +180,7 @@ impl Logger {
             ring: Mutex::new(VecDeque::with_capacity(config.capacity.max(1))),
             bucket: Mutex::new(TokenBucket {
                 tokens: config.burst.max(1.0),
-                last: Instant::now(),
+                refilled_at: Instant::now(),
             }),
             records,
             dropped,
@@ -224,17 +240,10 @@ impl Logger {
 
     fn take_token(&self) -> bool {
         let mut bucket = self.bucket.lock().expect("log bucket poisoned");
-        let now = Instant::now();
-        let elapsed = now.duration_since(bucket.last).as_secs_f64();
-        bucket.last = now;
-        bucket.tokens =
-            (bucket.tokens + elapsed * self.config.rate_per_sec).min(self.config.burst.max(1.0));
-        if bucket.tokens >= 1.0 {
-            bucket.tokens -= 1.0;
-            true
-        } else {
-            false
-        }
+        let burst = self.config.burst.max(1.0);
+        bucket
+            .try_take(Instant::now(), self.config.rate_per_sec, burst)
+            .is_ok()
     }
 
     /// The retained records, oldest first, filtered to `min_level` and

@@ -590,8 +590,6 @@ impl TraceStart<'_> {
                     tenant: String::new(),
                     market: String::new(),
                     scenario: "",
-                    root_end_ns: 0,
-                    root_attrs: Vec::new(),
                 }),
             }),
         }
@@ -630,10 +628,6 @@ struct TraceState {
     tenant: String,
     market: String,
     scenario: &'static str,
-    /// Explicit root end stamp; 0 means "not finished explicitly" and the
-    /// completion time (last handle drop) is used instead.
-    root_end_ns: u64,
-    root_attrs: Vec<(&'static str, AttrValue)>,
 }
 
 struct TraceShared {
@@ -775,14 +769,6 @@ impl ActiveTrace {
             .push(span);
         span_id
     }
-
-    /// Stamps the root span's end and attributes explicitly (otherwise the
-    /// root runs until the last handle drops, which includes async persist).
-    pub fn finish_root(&self, end_ns: u64, attrs: Vec<(&'static str, AttrValue)>) {
-        let mut state = self.inner.state.lock().expect("trace state poisoned");
-        state.root_end_ns = end_ns;
-        state.root_attrs = attrs;
-    }
 }
 
 impl Drop for TraceShared {
@@ -792,12 +778,9 @@ impl Drop for TraceShared {
         let jobs = std::mem::take(&mut state.jobs);
         let errored = *self.error.get_mut();
         let tracer = &self.tracer;
-        let end_ns = if state.root_end_ns != 0 {
-            state.root_end_ns
-        } else {
-            tracer.now_ns()
-        };
-        let duration_ns = end_ns.saturating_sub(self.start_ns);
+        // The root runs until its last handle drops (async persist
+        // included).
+        let duration_ns = tracer.now_ns().saturating_sub(self.start_ns);
         let reason = if errored {
             Some(SampleReason::TailError)
         } else if self.head_sampled {
@@ -827,7 +810,7 @@ impl Drop for TraceShared {
             start_ns: self.start_ns,
             duration_ns,
             status,
-            attrs: std::mem::take(&mut state.root_attrs),
+            attrs: Vec::new(),
         };
         let mut all = Vec::with_capacity(span_count as usize);
         all.push(root);

@@ -80,12 +80,6 @@ impl PlanCache {
         }
     }
 
-    /// A default sizing suitable for tests and examples: 8 shards × 128
-    /// plans.
-    pub fn with_default_sizing() -> Self {
-        PlanCache::new(8, 128)
-    }
-
     fn shard_for(&self, key: PlanFingerprint) -> &Mutex<Shard> {
         let index = (key.0 as usize) & (self.shards.len() - 1);
         &self.shards[index]

@@ -132,7 +132,7 @@ fn counters_are_monotone_and_untorn_under_concurrent_load() {
 }
 
 /// The rendered exposition agrees with the stats snapshots, and the stage
-/// histograms / slowest ring actually filled.
+/// histograms and the slowest kept traces actually filled.
 #[test]
 fn rendered_expositions_match_snapshots() {
     let service = TuningService::start(ServiceConfig {
@@ -214,12 +214,12 @@ fn rendered_expositions_match_snapshots() {
         prom_value(&text, "crowdtune_cache_entries", ""),
         Some(cache.entries)
     );
-    // The slowest ring holds complete traces, slowest first.
+    // The slowest kept traces are complete and listed slowest first.
     let slowest = service.slowest_traces();
     assert!(!slowest.is_empty(), "no traces retained");
     let mut last_total = u64::MAX;
     for trace in &slowest {
-        assert!(trace.total_ns() <= last_total, "ring not sorted");
+        assert!(trace.total_ns() <= last_total, "slowest traces not sorted");
         last_total = trace.total_ns();
         assert!(!trace.scenario.is_empty() && !trace.source.is_empty());
         assert!(trace.completed_ns >= trace.solve_start_ns);

@@ -246,12 +246,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Copy the run up to the next `"` or `\` in one step: both
+                // are ASCII, so they never split a UTF-8 sequence.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                let run = std::str::from_utf8(&bytes[*pos..end])
                     .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -344,5 +348,122 @@ mod tests {
         assert!(from_str::<u32>("[1] junk").is_err());
         assert!(from_str::<u32>("\"text\"").is_err());
         assert!(parse_value_str("{\"a\":}").is_err());
+    }
+
+    /// The per-character decoder [`parse_string`] replaced, kept as the
+    /// reference its output must match.
+    fn parse_string_reference(bytes: &[u8], pos: &mut usize) -> Result<String> {
+        if bytes.get(*pos) != Some(&b'"') {
+            return Err(Error::new(format!("expected string at byte {pos}")));
+        }
+        *pos += 1;
+        let mut out = String::new();
+        loop {
+            match bytes.get(*pos) {
+                None => return Err(Error::new("unterminated string")),
+                Some(b'"') => {
+                    *pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    *pos += 1;
+                    match bytes.get(*pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{0008}'),
+                        Some(b'f') => out.push('\u{000C}'),
+                        Some(b'u') => {
+                            let hex = bytes
+                                .get(*pos + 1..*pos + 5)
+                                .ok_or_else(|| Error::new("truncated \\u escape"))?;
+                            let hex = std::str::from_utf8(hex)
+                                .map_err(|_| Error::new("invalid \\u escape"))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| Error::new("invalid \\u escape"))?;
+                            // Surrogate pairs are not produced by our writer;
+                            // unpaired surrogates map to the replacement char.
+                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                            *pos += 4;
+                        }
+                        _ => return Err(Error::new("invalid escape sequence")),
+                    }
+                    *pos += 1;
+                }
+                Some(_) => {
+                    // Consume one UTF-8 scalar.
+                    let rest = std::str::from_utf8(&bytes[*pos..])
+                        .map_err(|_| Error::new("invalid UTF-8 in string"))?;
+                    let c = rest.chars().next().unwrap();
+                    out.push(c);
+                    *pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    /// A splitmix64 stream, so the reference comparison is seeded.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// Seeded JSON string literals mixing multi-byte UTF-8, every escape,
+    /// valid and broken `\u` sequences, raw control characters, and
+    /// unterminated strings: the run-copying decoder returns the same value
+    /// or error, and stops at the same byte, as the per-character one.
+    #[test]
+    fn string_decoding_matches_the_per_character_reference() {
+        let mut pieces = vec!["a", "plain ascii ", "é", "€", "中文", "𝄞"];
+        // Every escape, valid and broken `\u` sequences, an unknown escape
+        // and a lone backslash.
+        let escapes =
+            r#"\" \\ \/ \n \r \t \b \f \u0041 \u00e9 \u20AC \uD834 \uffff \u12G4 \u+0A1 \u1 \x \"#;
+        pieces.extend(escapes.split(' '));
+        // Raw control characters, and a bare quote that ends the string.
+        pieces.extend(["\u{0}", "\u{1f}", "\t", "\n", "\""]);
+        let mut rng = SplitMix(0x5EED_0022);
+        for case in 0..20_000 {
+            let mut text = String::from("\"");
+            for _ in 0..rng.below(24) {
+                text.push_str(pieces[rng.below(pieces.len())]);
+            }
+            match rng.below(4) {
+                0 => {}
+                1 => text.push('"'),
+                _ => text.push_str("\",\"tail\":\"é\"}"),
+            }
+            let bytes = text.as_bytes();
+            let (mut at, mut reference_at) = (0, 0);
+            let decoded = parse_string(bytes, &mut at);
+            let reference = parse_string_reference(bytes, &mut reference_at);
+            assert_eq!(decoded, reference, "case {case}: {text:?}");
+            assert_eq!(at, reference_at, "case {case}: {text:?}");
+        }
+    }
+
+    /// A 1 MiB string decodes in linear time (the per-character decoder
+    /// re-validated the rest of the input for every character it copied).
+    #[test]
+    fn a_one_mebibyte_string_decodes_in_under_a_second() {
+        // 1,024 bytes of ASCII ending in one two-byte character, 1,024 times.
+        let content = format!("{}é", "a".repeat(1022)).repeat(1024);
+        assert_eq!(content.len(), 1 << 20);
+        let text = to_string(&content).unwrap();
+        let started = std::time::Instant::now();
+        let decoded: String = from_str(&text).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(decoded, content);
+        assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
     }
 }
