@@ -17,7 +17,7 @@ use crate::error::{CoreError, Result};
 use crate::money::Allocation;
 use crate::rate::RateModel;
 use crate::stats::exponential::Exponential;
-use crate::stats::numerical::integrate_to_infinity;
+use crate::stats::numerical::integrate_to_infinity_gk21;
 use crate::stats::order_stats::expected_max_erlang;
 use crate::stats::special::GammaDist;
 use crate::task::{TaskGroup, TaskSet};
@@ -25,6 +25,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+
+/// Version of the job-level estimate's numerical rule (today: adaptive
+/// 10/21-point Gauss–Kronrod at tolerance 1e-8; see
+/// [`JobLatencyEstimator::analytic_expected_latency`]). Bump it whenever the
+/// estimate's bits change for the same inputs: stored plans carry it, and a
+/// store reloads only plans whose estimates this version computed.
+pub const ESTIMATOR_VERSION: u32 = 1;
 
 /// Which latency phases an estimate should include.
 ///
@@ -201,11 +208,29 @@ impl<'a, M: RateModel + ?Sized> JobLatencyEstimator<'a, M> {
     /// mean and variance; the expected maximum is then computed from the
     /// product of the per-task CDFs. For allocations with equal per-repetition
     /// payments the Gamma is exact (it reduces to an Erlang).
+    ///
+    /// The survival integral `∫_0^∞ (1 − Π_i F_i(t)) dt` is evaluated by
+    /// adaptive 10/21-point Gauss–Kronrod on geometric panels at tolerance
+    /// 1e-8 (relative to the total once it exceeds 1). The rule's bits are
+    /// versioned by [`ESTIMATOR_VERSION`].
     pub fn analytic_expected_latency(
         &self,
         allocation: &Allocation,
         phases: PhaseSelection,
     ) -> Result<f64> {
+        let (survival, scale) = self.job_survival(allocation, phases)?;
+        integrate_to_infinity_gk21(survival, scale, 1e-8)
+    }
+
+    /// The integrand of [`JobLatencyEstimator::analytic_expected_latency`],
+    /// `t ↦ 1 − Π_i F_i(t)` over the tasks' moment-matched Gammas, and the
+    /// width of its first quadrature panel (the largest task mean plus four
+    /// standard deviations).
+    fn job_survival(
+        &self,
+        allocation: &Allocation,
+        phases: PhaseSelection,
+    ) -> Result<(impl Fn(f64) -> f64, f64)> {
         let moments = self.task_moments(allocation)?;
         // Collapse identical task profiles before integrating: the optimal
         // allocations pay every member of a group the same per-repetition
@@ -239,21 +264,18 @@ impl<'a, M: RateModel + ?Sized> JobLatencyEstimator<'a, M> {
             }
             scale = scale.max(mean + 4.0 * var.sqrt());
         }
-        integrate_to_infinity(
-            move |t| {
-                let mut product = 1.0;
-                for &(dist, count) in &profiles {
-                    let c = dist.cdf(t).unwrap_or(0.0);
-                    product *= if count == 1 { c } else { c.powi(count) };
-                    if product == 0.0 {
-                        break;
-                    }
+        let survival = move |t| {
+            let mut product = 1.0;
+            for &(dist, count) in &profiles {
+                let c = dist.cdf(t).unwrap_or(0.0);
+                product *= if count == 1 { c } else { c.powi(count) };
+                if product == 0.0 {
+                    break;
                 }
-                1.0 - product
-            },
-            scale,
-            1e-8,
-        )
+            }
+            1.0 - product
+        };
+        Ok((survival, scale))
     }
 
     /// Monte-Carlo estimate of the expected job latency. Exact in
@@ -334,9 +356,18 @@ impl<'a, M: RateModel + ?Sized> JobLatencyEstimator<'a, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::money::Payment;
-    use crate::rate::LinearRate;
+    use crate::algorithms::{
+        BiasedAllocation, EvenAllocation, HeterogeneousAlgorithm, RepetitionAlgorithm,
+        RepetitionEvenAllocation, TaskEvenAllocation,
+    };
+    use crate::money::{Budget, Payment};
+    use crate::problem::{HTuningProblem, TuningStrategy};
+    use crate::rate::{LinearRate, LogRate, PaperRateModel};
+    use crate::stats::numerical::integrate_to_infinity;
     use crate::stats::order_stats::expected_max_exponential;
+    use crate::tuner::Tuner;
+    use rand::Rng;
+    use std::sync::Arc;
 
     fn homogeneous_set(tasks: usize, reps: u32, lp: f64) -> TaskSet {
         let mut set = TaskSet::new();
@@ -510,5 +541,187 @@ mod tests {
             .analytic_expected_latency(&alloc, PhaseSelection::Both)
             .unwrap();
         assert!(both > phase1);
+    }
+
+    /// Asserts both estimates of `allocation` lie within 1e-9 relative of
+    /// a tight reference: adaptive Simpson at tolerance 1e-12 on the
+    /// estimate's own integrand.
+    fn assert_estimates_meet_reference(
+        problem: &HTuningProblem,
+        allocation: &Allocation,
+        what: &str,
+    ) {
+        let estimator = JobLatencyEstimator::new(problem.task_set(), problem.rate_model());
+        for phases in [PhaseSelection::Both, PhaseSelection::OnHoldOnly] {
+            let estimate = estimator
+                .analytic_expected_latency(allocation, phases)
+                .unwrap();
+            let (survival, scale) = estimator.job_survival(allocation, phases).unwrap();
+            let reference = integrate_to_infinity(survival, scale, 1e-12).unwrap();
+            assert!(
+                (estimate - reference).abs() <= 1e-9 * reference,
+                "{what} {phases:?}: estimate {estimate} vs reference {reference}"
+            );
+        }
+    }
+
+    #[test]
+    fn ea_on_hold_estimate_meets_its_tolerance() {
+        // A job on which adaptive Simpson stopped early on a chance
+        // agreement and missed the 1e-8 tolerance by 6.4e-6.
+        let mut set = TaskSet::new();
+        let ty = set.add_type("filter", 2.609056506227904).unwrap();
+        set.add_tasks(ty, 2, 4).unwrap();
+        let model = LinearRate::new(1.5681304240410818, 0.48420669513395237).unwrap();
+        let plan = Tuner::new(Arc::new(model))
+            .plan(set, Budget::units(46))
+            .unwrap();
+        let expected = Allocation::from_matrix(
+            [[6, 6], [6, 6], [6, 5], [6, 5]]
+                .iter()
+                .map(|task| task.iter().map(|&p| Payment::units(p)).collect())
+                .collect(),
+        );
+        assert_eq!(plan.result.strategy, "EA");
+        assert_eq!(plan.result.allocation, expected);
+        let on_hold = plan.expected_on_hold_latency;
+        assert_eq!(plan.result.objective, Some(on_hold));
+        assert!(
+            (on_hold - 0.376360145547).abs() <= 1e-9 * 0.376360145547,
+            "on-hold estimate {on_hold}"
+        );
+    }
+
+    #[test]
+    fn single_round_both_phase_estimate_meets_its_tolerance() {
+        // A single-round job whose both-phase estimate Simpson left 1.6e-6
+        // short.
+        let mut set = TaskSet::new();
+        let ty = set.add_type("filter", 2.434224599652634).unwrap();
+        set.add_tasks(ty, 1, 16).unwrap();
+        let model = LinearRate::new(1.397732089479133, 0.5263475064761685).unwrap();
+        let plan = Tuner::new(Arc::new(model))
+            .plan(set, Budget::units(34))
+            .unwrap();
+        let both = plan.expected_latency;
+        assert!(
+            (both - 1.836762123772).abs() <= 1e-9 * 1.836762123772,
+            "both-phase estimate {both}"
+        );
+    }
+
+    /// `base` scaled by a factor uniform in `[0.9, 1.1)`.
+    fn jitter(rng: &mut StdRng, base: f64) -> f64 {
+        base * (0.9 + 0.2 * rng.gen::<f64>())
+    }
+
+    #[test]
+    fn estimates_match_a_tight_simpson_reference_on_serving_shaped_jobs() {
+        // EA, RA and HA jobs shaped like the benchmark's strata: one task
+        // type with uniform repetitions, one type with two or three
+        // repetition levels, an easy and a hard type; jittered rates, a
+        // logarithmic curve every eighth stratum, budgets of 2–4× the slots.
+        let mut rng = StdRng::seed_from_u64(0x6b21);
+        for i in 0..200usize {
+            let stratum = i / 3;
+            let mut set = TaskSet::new();
+            match i % 3 {
+                0 => {
+                    let ty = set.add_type("filter", jitter(&mut rng, 2.5)).unwrap();
+                    let reps = 1 + (stratum / 7 % 5) as u32;
+                    set.add_tasks(ty, reps, 4 + 2 * (stratum % 7)).unwrap();
+                }
+                1 => {
+                    let ty = set.add_type("vote", jitter(&mut rng, 2.0)).unwrap();
+                    let levels: &[u32] = if stratum % 2 == 0 {
+                        &[3, 5]
+                    } else {
+                        &[2, 4, 6]
+                    };
+                    for (g, &reps) in levels.iter().enumerate() {
+                        set.add_tasks(ty, reps, 3 + (stratum + g) % 4).unwrap();
+                    }
+                }
+                _ => {
+                    let easy = set.add_type("easy", jitter(&mut rng, 3.0)).unwrap();
+                    let hard = set.add_type("hard", jitter(&mut rng, 1.0)).unwrap();
+                    set.add_tasks(easy, 3 + (stratum % 3) as u32, 3 + stratum % 4)
+                        .unwrap();
+                    set.add_tasks(hard, 4 + (stratum % 2) as u32, 3 + stratum / 4 % 3)
+                        .unwrap();
+                }
+            }
+            let model: Arc<dyn RateModel> = if stratum % 8 == 7 {
+                Arc::new(LogRate::new(jitter(&mut rng, 2.0)).unwrap())
+            } else {
+                Arc::new(LinearRate::new(jitter(&mut rng, 1.5), jitter(&mut rng, 0.5)).unwrap())
+            };
+            let slots: u64 = set.repetition_counts().iter().map(|&k| u64::from(k)).sum();
+            let budget = slots * (2 + (i % 3) as u64) + rng.gen_range(0..slots);
+            let tuner = Tuner::new(model);
+            let problem = tuner.problem(set, Budget::units(budget)).unwrap();
+            let result = tuner.tune_problem(&problem).unwrap();
+            assert_estimates_meet_reference(&problem, &result.allocation, &format!("job {i}"));
+        }
+    }
+
+    #[test]
+    fn estimates_match_a_tight_simpson_reference_on_figure_2_task_sets() {
+        // The three Figure 2 task sets at 20 tasks (homogeneous, repetition,
+        // heterogeneous), each with its optimal strategy and two baselines,
+        // over every paper rate model.
+        let mut homogeneous = TaskSet::new();
+        let ty = homogeneous.add_type("vote", 2.0).unwrap();
+        homogeneous.add_tasks(ty, 5, 20).unwrap();
+        let mut repetition = TaskSet::new();
+        let ty = repetition.add_type("vote", 2.0).unwrap();
+        repetition.add_tasks(ty, 3, 10).unwrap();
+        repetition.add_tasks(ty, 5, 10).unwrap();
+        let mut heterogeneous = TaskSet::new();
+        let easy = heterogeneous.add_type("easy vote", 2.0).unwrap();
+        let hard = heterogeneous.add_type("hard vote", 3.0).unwrap();
+        heterogeneous.add_tasks(easy, 3, 10).unwrap();
+        heterogeneous.add_tasks(hard, 5, 10).unwrap();
+        let panels: [(TaskSet, Vec<Box<dyn TuningStrategy>>); 3] = [
+            (
+                homogeneous,
+                vec![
+                    Box::new(EvenAllocation::new()),
+                    Box::new(BiasedAllocation::bias_1()),
+                    Box::new(BiasedAllocation::bias_2()),
+                ],
+            ),
+            (
+                repetition,
+                vec![
+                    Box::new(RepetitionAlgorithm::new()),
+                    Box::new(TaskEvenAllocation::new()),
+                    Box::new(RepetitionEvenAllocation::new()),
+                ],
+            ),
+            (
+                heterogeneous,
+                vec![
+                    Box::new(HeterogeneousAlgorithm::new()),
+                    Box::new(TaskEvenAllocation::new()),
+                    Box::new(RepetitionEvenAllocation::new()),
+                ],
+            ),
+        ];
+        for (set, strategies) in &panels {
+            for model in PaperRateModel::ALL {
+                let rate_model: Arc<dyn RateModel> = model.build().into();
+                for budget in [200, 400, 800] {
+                    let problem =
+                        HTuningProblem::new(set.clone(), Budget::units(budget), rate_model.clone())
+                            .unwrap();
+                    for strategy in strategies {
+                        let result = strategy.tune(&problem).unwrap();
+                        let what = format!("{} {model:?} B={budget}", strategy.name());
+                        assert_estimates_meet_reference(&problem, &result.allocation, &what);
+                    }
+                }
+            }
+        }
     }
 }

@@ -514,10 +514,7 @@ enum Phase {
 struct Conn {
     stream: TcpStream,
     token: u64,
-    /// Bumped whenever the armed deadline changes; stale timer-heap entries
-    /// (older gen) are ignored on pop.
-    gen: u64,
-    deadline: Option<Instant>,
+    deadline: Deadline,
     phase: Phase,
     read_buf: Vec<u8>,
     write_buf: Vec<u8>,
@@ -544,6 +541,75 @@ impl Conn {
     }
 }
 
+/// A connection's armed deadline and the `when` of its live timer-heap
+/// entry.
+#[derive(Default)]
+struct Deadline {
+    /// When the connection expires; `None` while nothing is armed.
+    at: Option<Instant>,
+    /// The `when` of the connection's one live heap entry, if one is queued.
+    /// Its other entries are stale and skipped on pop.
+    queued: Option<Instant>,
+}
+
+/// The reactor's `(when, token)` min-heap, holding at most one live entry
+/// per connection: arming pushes only when the new deadline is earlier than
+/// the live entry (or none is queued), and a live entry that pops before
+/// its connection's deadline is queued again at that deadline. The heap
+/// grows with connections, not with requests.
+#[derive(Default)]
+struct Timers {
+    heap: BinaryHeap<Reverse<(Instant, u64)>>,
+}
+
+impl Timers {
+    fn arm(&mut self, token: u64, deadline: &mut Deadline, when: Instant) {
+        deadline.at = Some(when);
+        if deadline.queued.is_none_or(|queued| when < queued) {
+            deadline.queued = Some(when);
+            self.heap.push(Reverse((when, token)));
+        }
+    }
+
+    fn next(&self) -> Option<Instant> {
+        self.heap.peek().map(|Reverse((when, _))| *when)
+    }
+
+    /// Pops the earliest entry due at `now`.
+    fn pop_due(&mut self, now: Instant) -> Option<(Instant, u64)> {
+        let &Reverse((when, token)) = self.heap.peek()?;
+        if when > now {
+            return None;
+        }
+        self.heap.pop();
+        Some((when, token))
+    }
+
+    /// Settles an entry [`Timers::pop_due`] returned against its
+    /// connection's deadline: true when the connection has expired. A stale
+    /// entry is skipped; a live one that popped early is queued again.
+    fn expired(
+        &mut self,
+        token: u64,
+        deadline: &mut Deadline,
+        when: Instant,
+        now: Instant,
+    ) -> bool {
+        if deadline.queued != Some(when) {
+            return false;
+        }
+        deadline.queued = None;
+        match deadline.at {
+            Some(at) if at <= now => true,
+            Some(at) => {
+                self.arm(token, deadline, at);
+                false
+            }
+            None => false,
+        }
+    }
+}
+
 struct Reactor {
     state: Arc<GatewayState>,
     poller: Poller,
@@ -551,8 +617,7 @@ struct Reactor {
     wake_rx: WakeReceiver,
     shared: Arc<ReactorShared>,
     conns: HashMap<u64, Conn>,
-    /// (deadline, token, gen) min-heap; entries are invalidated by gen.
-    timers: BinaryHeap<Reverse<(Instant, u64, u64)>>,
+    timers: Timers,
     next_token: u64,
     /// Still registered for accept readiness (false once draining).
     accepting: bool,
@@ -581,7 +646,7 @@ impl Reactor {
                 waker: wake_tx,
             }),
             conns: HashMap::new(),
-            timers: BinaryHeap::new(),
+            timers: Timers::default(),
             next_token: FIRST_CONN_TOKEN,
             accepting: true,
             drain_deadline: None,
@@ -621,7 +686,7 @@ impl Reactor {
     /// The poll timeout: the nearest timer (or drain bound), or park
     /// indefinitely when nothing is scheduled.
     fn next_timeout(&self) -> Option<Duration> {
-        let mut next: Option<Instant> = self.timers.peek().map(|Reverse((when, _, _))| *when);
+        let mut next = self.timers.next();
         if let Some(bound) = self.drain_deadline {
             next = Some(next.map_or(bound, |n| n.min(bound)));
         }
@@ -729,8 +794,7 @@ impl Reactor {
         let mut conn = Conn {
             stream,
             token,
-            gen: 0,
-            deadline: None,
+            deadline: Deadline::default(),
             phase: Phase::Idle,
             read_buf: Vec::new(),
             write_buf: Vec::new(),
@@ -744,27 +808,21 @@ impl Reactor {
     }
 
     fn arm_deadline(&mut self, conn: &mut Conn, when: Instant) {
-        conn.gen += 1;
-        conn.deadline = Some(when);
-        self.timers.push(Reverse((when, conn.token, conn.gen)));
+        self.timers.arm(conn.token, &mut conn.deadline, when);
     }
 
     fn clear_deadline(conn: &mut Conn) {
-        conn.gen += 1;
-        conn.deadline = None;
+        conn.deadline.at = None;
     }
 
     fn fire_timers(&mut self, now: Instant) {
-        while let Some(Reverse((when, token, gen))) = self.timers.peek().copied() {
-            if when > now {
-                break;
-            }
-            self.timers.pop();
-            let live = self
+        while let Some((when, token)) = self.timers.pop_due(now) {
+            let timers = &mut self.timers;
+            let expired = self
                 .conns
-                .get(&token)
-                .is_some_and(|conn| conn.gen == gen && conn.deadline == Some(when));
-            if live {
+                .get_mut(&token)
+                .is_some_and(|conn| timers.expired(token, &mut conn.deadline, when, now));
+            if expired {
                 // Whatever was armed — idle keep-alive, request deadline,
                 // stalled write — expiry closes the connection.
                 self.state.metrics.connections_timed_out.inc();
@@ -953,7 +1011,7 @@ impl Reactor {
             }
             if conn.read_buf.is_empty() {
                 conn.phase = Phase::Idle;
-                if conn.deadline.is_none() {
+                if conn.deadline.at.is_none() {
                     // Nothing armed (a request just completed): the idle
                     // keep-alive clock starts. A pending write's stall
                     // deadline, if armed, already covers the connection.
@@ -1818,4 +1876,105 @@ fn get_health(state: &GatewayState) -> Response {
             draining,
         },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const TOKEN: u64 = 7;
+    const REQUEST_DEADLINE: Duration = Duration::from_secs(30);
+    const KEEP_ALIVE: Duration = Duration::from_secs(5);
+
+    /// One reactor timer pass over a single connection, as
+    /// `Reactor::fire_timers` runs it: true when the connection expired.
+    fn fire(timers: &mut Timers, deadline: &mut Deadline, now: Instant) -> bool {
+        let mut expired = false;
+        while let Some((when, token)) = timers.pop_due(now) {
+            assert_eq!(token, TOKEN);
+            expired |= timers.expired(token, deadline, when, now);
+        }
+        expired
+    }
+
+    #[test]
+    fn the_timer_heap_holds_one_live_entry_per_connection() {
+        let start = Instant::now();
+        let mut timers = Timers::default();
+        let mut deadline = Deadline::default();
+        timers.arm(TOKEN, &mut deadline, start + KEEP_ALIVE);
+        // Keep-alive requests handled as the reactor handles one that
+        // arrives whole: request deadline at the first byte, cleared once
+        // parsed, then the idle keep-alive, then a timer pass. 10,000 of
+        // them 100 µs apart (no entry falls due), then 10,000 1 ms apart
+        // (live entries pop and re-queue).
+        let mut now = start;
+        for step in [Duration::from_micros(100), Duration::from_millis(1)] {
+            for _ in 0..10_000 {
+                now += step;
+                timers.arm(TOKEN, &mut deadline, now + REQUEST_DEADLINE);
+                deadline.at = None;
+                timers.arm(TOKEN, &mut deadline, now + KEEP_ALIVE);
+                assert!(
+                    !fire(&mut timers, &mut deadline, now),
+                    "closed while in use"
+                );
+            }
+            assert!(timers.heap.len() <= 2, "{} heap entries", timers.heap.len());
+        }
+        // The last keep-alive still closes the idle connection on time.
+        let last = now;
+        assert!(!fire(
+            &mut timers,
+            &mut deadline,
+            last + KEEP_ALIVE - Duration::from_millis(1)
+        ));
+        assert!(fire(&mut timers, &mut deadline, last + KEEP_ALIVE));
+    }
+
+    #[test]
+    fn a_trickled_request_expires_at_its_deadline_not_its_keep_alive() {
+        let start = Instant::now();
+        let mut timers = Timers::default();
+        let mut deadline = Deadline::default();
+        timers.arm(TOKEN, &mut deadline, start + KEEP_ALIVE);
+        // First byte at 1 s; the rest never completes.
+        let first_byte = start + Duration::from_secs(1);
+        timers.arm(TOKEN, &mut deadline, first_byte + REQUEST_DEADLINE);
+        // The keep-alive entry pops at 5 s and re-queues at the request
+        // deadline instead of closing the connection.
+        assert!(!fire(&mut timers, &mut deadline, start + KEEP_ALIVE));
+        assert_eq!(deadline.queued, Some(first_byte + REQUEST_DEADLINE));
+        assert!(!fire(
+            &mut timers,
+            &mut deadline,
+            first_byte + Duration::from_secs(29)
+        ));
+        assert!(fire(
+            &mut timers,
+            &mut deadline,
+            first_byte + REQUEST_DEADLINE
+        ));
+    }
+
+    #[test]
+    fn an_earlier_deadline_is_queued_ahead_and_a_cleared_one_never_fires() {
+        let start = Instant::now();
+        let mut timers = Timers::default();
+        let mut deadline = Deadline::default();
+        timers.arm(TOKEN, &mut deadline, start + REQUEST_DEADLINE);
+        // A stalled write's earlier deadline gets its own entry; the later
+        // one goes stale and is skipped when it pops.
+        timers.arm(TOKEN, &mut deadline, start + KEEP_ALIVE);
+        assert_eq!(timers.heap.len(), 2);
+        assert!(fire(&mut timers, &mut deadline, start + KEEP_ALIVE));
+
+        let mut timers = Timers::default();
+        let mut deadline = Deadline::default();
+        timers.arm(TOKEN, &mut deadline, start + KEEP_ALIVE);
+        deadline.at = None; // a dispatched job: no receive deadline
+        assert!(!fire(&mut timers, &mut deadline, start + REQUEST_DEADLINE));
+        assert!(timers.heap.is_empty());
+        assert_eq!(deadline.queued, None);
+    }
 }

@@ -772,7 +772,9 @@ pub struct RecoveryStats {
     pub corrupt_streams: u64,
     /// Truncated or bit-flipped record suffixes dropped during replay.
     pub corrupt_tails: u64,
-    /// Checksummed-valid records that failed semantic re-validation.
+    /// Checksummed-valid records that failed to decode or failed semantic
+    /// re-validation, a plan record from another estimator version (or with
+    /// none) included; see [`LoadReport::invalid_records`](crate::LoadReport::invalid_records).
     pub invalid_records: u64,
 }
 

@@ -38,12 +38,16 @@
 //! rebuild, unit-cost/group-shape consistency, DP-chain integrity via
 //! [`DpTable::from_snapshot`], and the base-state objective check — the
 //! persisted form of the `DpTable::extend_to` debug assertion); failures
-//! drop the record ([`LoadReport::invalid_records`]). Every degradation path
-//! ends in a cold solve, never in serving a wrong plan.
+//! drop the record ([`LoadReport::invalid_records`]). Plan records carry the
+//! [`ESTIMATOR_VERSION`] that computed their latency estimates; one from
+//! another version (or written before plans carried one) is dropped the same
+//! way, so a restarted service never serves an old rule's estimate beside
+//! its own cold solves. Every degradation path ends in a cold solve, never
+//! in serving a wrong plan.
 
 use crowdtune_core::algorithms::{DpTable, DpTableSnapshot};
 use crowdtune_core::hash::Fnv1a;
-use crowdtune_core::latency::group_phase1_expected;
+use crowdtune_core::latency::{group_phase1_expected, ESTIMATOR_VERSION};
 use crowdtune_core::market::MarketId;
 use crowdtune_core::rate::{RateModel, RateSpec};
 use crowdtune_core::task::TaskSet;
@@ -72,9 +76,26 @@ const STORE_HEADER: &str = "crowdtune-store v1";
 pub struct PlanRecord {
     /// The plan's canonical fingerprint (`PlanFingerprint.0`).
     pub fingerprint: u64,
+    /// The [`ESTIMATOR_VERSION`] whose rule computed the plan's latency
+    /// estimates. A load keeps only records of this binary's version;
+    /// the others (and records without the field) count as invalid and
+    /// their jobs re-solve to the same allocation.
+    pub estimator: u32,
     /// The served plan, bit-exact through the JSON round trip (integer
     /// payments verbatim; finite `f64`s via shortest-round-trip decimals).
     pub plan: TunedPlan,
+}
+
+impl PlanRecord {
+    /// The record of `plan` under `fingerprint`, stamped with this binary's
+    /// estimator version.
+    fn current(fingerprint: u64, plan: &TunedPlan) -> PlanRecord {
+        PlanRecord {
+            fingerprint,
+            estimator: ESTIMATOR_VERSION,
+            plan: plan.clone(),
+        }
+    }
 }
 
 /// A persisted plan family: everything needed to re-serve the family's whole
@@ -272,8 +293,10 @@ pub struct LoadReport {
     /// Streams whose record suffix failed a checksum or parse (truncated
     /// tail, bit flip); the suffix was dropped and truncated away.
     pub corrupt_tails: u64,
-    /// Checksummed-valid records that failed semantic re-validation (family
-    /// base-state mismatch, broken DP chain, invalid rate spec, ...).
+    /// Checksummed-valid records that failed to decode or failed semantic
+    /// re-validation (family base-state mismatch, broken DP chain, invalid
+    /// rate spec, a plan record from another estimator version or with no
+    /// version, ...).
     pub invalid_records: u64,
 }
 
@@ -721,10 +744,7 @@ impl PlanStore {
 
     /// Queues a plan snapshot for the exact-match stream.
     pub fn record_plan(&self, fingerprint: u64, plan: &TunedPlan) {
-        let record = PlanRecord {
-            fingerprint,
-            plan: plan.clone(),
-        };
+        let record = PlanRecord::current(fingerprint, plan);
         self.enqueue(Stream::Plans, &record, false);
     }
 
@@ -745,10 +765,7 @@ impl PlanStore {
         lag_into: Option<&Histogram>,
         span: Option<(ActiveTrace, u64)>,
     ) {
-        let record = PlanRecord {
-            fingerprint,
-            plan: plan.clone(),
-        };
+        let record = PlanRecord::current(fingerprint, plan);
         self.enqueue_observed(Stream::Plans, &record, false, lag_into.cloned(), span);
     }
 
@@ -757,10 +774,7 @@ impl PlanStore {
     /// latency constraint and must not lose working-set records to
     /// backpressure.
     pub fn record_plan_blocking(&self, fingerprint: u64, plan: &TunedPlan) {
-        let record = PlanRecord {
-            fingerprint,
-            plan: plan.clone(),
-        };
+        let record = PlanRecord::current(fingerprint, plan);
         self.enqueue(Stream::Plans, &record, true);
     }
 
@@ -1367,7 +1381,9 @@ fn open_stream(path: &Path, stream: Stream, good_prefix: u64) -> Result<(File, u
 
 /// Parses and deduplicates plan records: first writer wins per fingerprint,
 /// mirroring the cache's incumbent semantics (equal fingerprints imply
-/// bit-identical plans anyway).
+/// bit-identical plans anyway). A record from another estimator version is
+/// dropped before it can claim its fingerprint, so a later re-solve's record
+/// wins.
 fn reduce_plans(payloads: &[String], snapshot: &mut StoreSnapshot) {
     let mut seen: HashSet<u64> = HashSet::new();
     for payload in payloads {
@@ -1375,6 +1391,10 @@ fn reduce_plans(payloads: &[String], snapshot: &mut StoreSnapshot) {
             snapshot.report.invalid_records += 1;
             continue;
         };
+        if record.estimator != ESTIMATOR_VERSION {
+            snapshot.report.invalid_records += 1;
+            continue;
+        }
         if seen.insert(record.fingerprint) {
             snapshot.plans.push(record);
         }

@@ -9,8 +9,11 @@
 //!   original ids;
 //! * every corruption mode — truncated journal tail, bit-flipped plan
 //!   snapshot, version-mismatch header — degrades to cold solves (asserted
-//!   via `ServiceMetrics` counters), never to wrong plans.
+//!   via `ServiceMetrics` counters), never to wrong plans;
+//! * plan records from another estimator version are re-solved, never
+//!   served.
 
+use crowdtune_core::hash::Fnv1a;
 use crowdtune_core::money::Budget;
 use crowdtune_core::rate::{LinearRate, RateModel, RateSpec, TabulatedRate};
 use crowdtune_core::task::TaskSet;
@@ -20,7 +23,7 @@ use crowdtune_serve::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -412,6 +415,119 @@ fn bit_flipped_plan_snapshot_recovers_cold() {
     assert_plans_bit_identical(&served.plan, &cold, "post-corruption solve");
     service.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Rewrites the payload of every `plans.log` record with `edit` and
+/// recomputes the line's checksum, so the records stay checksum-valid and
+/// only their content changes. Returns the number of records.
+fn rewrite_plan_payloads(dir: &Path, edit: impl Fn(&str) -> String) -> u64 {
+    let path = dir.join("plans.log");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut lines = text.lines();
+    let mut out = format!("{}\n", lines.next().unwrap());
+    let mut records = 0;
+    for line in lines {
+        let (_, payload) = line.split_once('\t').unwrap();
+        let edited = edit(payload);
+        assert_ne!(
+            edited, payload,
+            "every plan record carries an estimator version"
+        );
+        let mut hash = Fnv1a::new();
+        hash.write_bytes(edited.as_bytes());
+        out.push_str(&format!("{:016x}\t{edited}\n", hash.finish()));
+        records += 1;
+    }
+    std::fs::write(&path, out).unwrap();
+    records
+}
+
+/// Plan records from another estimator version — written before records
+/// carried one, or stamped with another — are dropped at load and counted
+/// in `invalid_records`. Their jobs cold-solve to the recorded allocations,
+/// and the re-solves' records serve the next restart with no cold solve.
+#[test]
+fn plan_records_from_another_estimator_version_are_re_solved() {
+    // What replaces this binary's `,"estimator":1` in every record.
+    for (tag, replacement) in [("unversioned", ""), ("version-0", ",\"estimator\":0")] {
+        let dir = scratch_dir(tag);
+        // EA and HA jobs: the family layer serves RA only, so these can
+        // come back from the plan stream or a cold solve, nothing else.
+        let mut requests = Vec::new();
+        for budget in [60, 80, 100] {
+            let mut set = TaskSet::new();
+            let easy = set.add_type("easy", 3.0).unwrap();
+            let hard = set.add_type("hard", 1.0).unwrap();
+            set.add_tasks(easy, 3, 2).unwrap();
+            set.add_tasks(hard, 5, 2).unwrap();
+            requests.push(JobRequest {
+                tenant: "acme".to_owned(),
+                market: MarketId::DEFAULT,
+                task_set: set,
+                budget: Budget::units(budget),
+                rate_model: Arc::new(LinearRate::new(1.25, 0.75).unwrap()),
+                strategy: StrategyChoice::Auto,
+            });
+        }
+        let mut set = TaskSet::new();
+        let ty = set.add_type("filter", 2.5).unwrap();
+        set.add_tasks(ty, 2, 4).unwrap();
+        requests.push(JobRequest {
+            tenant: "acme".to_owned(),
+            market: MarketId::DEFAULT,
+            task_set: set,
+            budget: Budget::units(46),
+            rate_model: Arc::new(LinearRate::new(1.5, 0.5).unwrap()),
+            strategy: StrategyChoice::Auto,
+        });
+        let mut recorded = Vec::new();
+        {
+            let service = TuningService::recover(service_config(), &dir).unwrap();
+            for request in &requests {
+                recorded.push((*service.tune(request.clone()).unwrap().plan).clone());
+            }
+            service.shutdown();
+        }
+        let stale = rewrite_plan_payloads(&dir, |payload| {
+            payload.replacen(",\"estimator\":1", replacement, 1)
+        });
+        assert!(stale >= requests.len() as u64, "{tag}: {stale} records");
+
+        let mut resolved = Vec::new();
+        {
+            let service = TuningService::recover(service_config(), &dir).unwrap();
+            let recovery = service.recovery_stats().unwrap();
+            assert_eq!(recovery.loaded_plans, 0, "{tag}: {recovery:?}");
+            assert_eq!(recovery.invalid_records, stale, "{tag}: {recovery:?}");
+            assert_eq!(recovery.corrupt_tails, 0, "{tag}: {recovery:?}");
+            for (i, (request, old)) in requests.iter().zip(&recorded).enumerate() {
+                let served = service.tune(request.clone()).unwrap();
+                assert_eq!(served.source, PlanSource::ColdSolve, "{tag} job {i}");
+                assert_eq!(
+                    served.plan.result.allocation, old.result.allocation,
+                    "{tag} job {i}: the re-solve keeps the recorded allocation"
+                );
+                resolved.push((*served.plan).clone());
+            }
+            assert_eq!(service.metrics().cold_solves, requests.len() as u64);
+            service.shutdown();
+        }
+
+        let service = TuningService::recover(service_config(), &dir).unwrap();
+        let recovery = service.recovery_stats().unwrap();
+        assert!(
+            recovery.loaded_plans >= requests.len() as u64,
+            "{tag}: {recovery:?}"
+        );
+        for (i, (request, expected)) in requests.iter().zip(&resolved).enumerate() {
+            let served = service.tune(request.clone()).unwrap();
+            assert_eq!(served.source, PlanSource::CacheHit, "{tag} job {i}");
+            assert_plans_bit_identical(&served.plan, expected, &format!("{tag} job {i}"));
+        }
+        assert_eq!(service.metrics().cold_solves, 0, "{tag}");
+        service.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// Ad-hoc rate models (no native `RateSpec`) are journaled through a
