@@ -105,7 +105,7 @@ fn bench_family_ladder(_c: &mut Criterion) {
         let families = PlanFamilies::new(4);
         for &(budget, _) in ladder {
             let p = problem(&set, budget, &model);
-            let (plan, _) = families
+            let (plan, _, _) = families
                 .serve(FamilyFingerprint::of(&p, strategy), &p)
                 .unwrap();
             let cold = Tuner::new(model.clone())
@@ -156,7 +156,7 @@ fn bench_family_ladder(_c: &mut Criterion) {
                 let p = problem(&set, budget, &model);
                 let key = FamilyFingerprint::of(&p, strategy);
                 let start = Instant::now();
-                let (plan, how) = families.serve(key, &p).unwrap();
+                let (plan, how, _) = families.serve(key, &p).unwrap();
                 family_serve.push(start.elapsed().as_secs_f64() * 1e9);
                 assert_eq!(how, FamilyServe::Seeded);
                 black_box(plan);
@@ -167,11 +167,11 @@ fn bench_family_ladder(_c: &mut Criterion) {
                 let families = PlanFamilies::new(4);
                 let seed_problem = problem(&set, ladder[0].0, &model);
                 let key = FamilyFingerprint::of(&seed_problem, strategy);
-                let (_, how) = families.serve(key, &seed_problem).unwrap();
+                let (_, how, _) = families.serve(key, &seed_problem).unwrap();
                 assert_eq!(how, FamilyServe::Seeded);
                 let p = problem(&set, budget, &model);
                 let start = Instant::now();
-                let (plan, how) = families.serve(key, &p).unwrap();
+                let (plan, how, _) = families.serve(key, &p).unwrap();
                 family_serve.push(start.elapsed().as_secs_f64() * 1e9);
                 assert_eq!(how, FamilyServe::Hit);
                 black_box(plan);

@@ -63,6 +63,15 @@ impl RepetitionAlgorithm {
     /// level is computed once, from deterministic per-group latency terms,
     /// regardless of how far the table eventually extends.
     pub fn tune_with_table(&self, problem: &HTuningProblem) -> Result<(TuningResult, DpTable)> {
+        let table = Self::build_table(problem)?;
+        let result = Self::result_from_table(problem, &table)?;
+        Ok((result, table))
+    }
+
+    /// Builds the budget-indexed [`DpTable`] for `problem` up to its
+    /// discretionary budget, without reading a plan out of it (the table
+    /// half of [`RepetitionAlgorithm::tune_with_table`]).
+    pub fn build_table(problem: &HTuningProblem) -> Result<DpTable> {
         let (groups, unit_costs) = groups_and_costs(problem);
         let extra_budget = problem.discretionary_budget();
 
@@ -72,11 +81,9 @@ impl RepetitionAlgorithm {
         let cache = GroupLatencyCache::new(&rate_model, &groups);
 
         debug_assert!(LatencyTarget::GroupSumOnHold.is_separable());
-        let table = DpTable::build_separable(&unit_costs, extra_budget, |group, payment| {
+        DpTable::build_separable(&unit_costs, extra_budget, |group, payment| {
             cache.phase1(group, payment)
-        })?;
-        let result = Self::result_from_table(problem, &table)?;
-        Ok((result, table))
+        })
     }
 
     /// Reads the RA plan for `problem` out of a previously built table: one

@@ -11,14 +11,18 @@
 //! A **family** is the set of jobs whose [`FamilyFingerprint`] agree: same
 //! task shape, same rate curve, same resolved algorithm — everything but the
 //! budget. [`PlanFamilies`] maps each family to one concurrently shared
-//! `DpTable`; a job whose family is resident is answered by
-//! `outcome_at(b)` (budget at or below the table's coverage) or by
-//! extending the table in place under the per-family lock (budget above it).
-//! Served plans are **bit-identical to cold solves by construction**: every
-//! table level is computed exactly once, from deterministic per-group
-//! latency terms, regardless of the order budgets arrive in — the serve
-//! property tests pin this across random problems, budget ladders and
-//! concurrent extension order.
+//! `DpTable` and reads it two ways: [`PlanFamilies::serve`] reads one
+//! budget's plan for a job, [`PlanFamilies::objective_frontier`] reads the
+//! objective at every budget for the cross-market router. Both run one
+//! protocol under the per-family lock: rehydrate the family if it is not
+//! resident, check the job's group structure against the table,
+//! canonicalise the job to the family's belief, then extend the table in
+//! place (budget above its coverage) or seed it with a cold solve (no
+//! family yet), and read. Served plans are **bit-identical to cold solves by
+//! construction**: every table level is computed exactly once, from
+//! deterministic per-group latency terms, regardless of the order budgets
+//! arrive in — the serve property tests pin this across random problems,
+//! budget ladders and concurrent extension order.
 //!
 //! ## Scope: why only RA
 //!
@@ -37,8 +41,9 @@
 //! bit-exactly on the payment grid the tables cover, and in the (≈2⁻⁶⁴)
 //! event of a true collision the incumbent wins, exactly like a colliding
 //! `PlanFingerprint`. A collision that changes the *group structure* is
-//! detected (`DpTable::unit_costs` mismatch) and the job falls back to a
-//! cold solve without touching the family.
+//! detected (`DpTable::unit_costs` mismatch) and leaves the family
+//! untouched: `serve` cold-solves the job as submitted, and
+//! `objective_frontier` fails.
 //!
 //! ## Eviction and durability
 //!
@@ -47,13 +52,15 @@
 //! displaces the least recently used one, so service memory stays bounded
 //! while hot families stay resident. With persistence enabled
 //! ([`PlanFamilies::durable`]), every seed and extension snapshots the
-//! family — `(fingerprint, rate spec, group shapes, DP levels)` — into the
-//! write-behind [`PlanStore`] *and* into an in-memory archive of compact
-//! records, so an evicted (or restart-lost) family is **rehydrated** from
-//! its snapshot on the next miss instead of paying a cold solve:
-//! [`DpTable::from_snapshot`] rebuilds the exact table and every answer
-//! stays bit-identical. Without persistence, eviction simply drops the
-//! family and the next job re-seeds it (the pre-durability behavior).
+//! family — `(fingerprint, rate spec, group shapes, DP levels)`, built from
+//! the family's own state — into the write-behind [`PlanStore`] *and* into
+//! an in-memory archive of compact records, so an evicted (or restart-lost)
+//! family is **rehydrated** from its snapshot on the next miss instead of
+//! paying a cold solve: [`DpTable::from_snapshot`] rebuilds the exact table
+//! and every answer stays bit-identical. A planned shutdown re-records every
+//! resident family the same way ([`PlanFamilies::flush_resident`]), whether
+//! or not its archive entry is still there. Without persistence, eviction
+//! simply drops the family and the next job re-seeds it.
 //!
 //! LRU trades the old policy's churn-immunity for bounded *and recoverable*
 //! memory: a tenant streaming distinct rate curves can still displace other
@@ -71,6 +78,7 @@ use crowdtune_core::problem::{HTuningProblem, TuningStrategy};
 use crowdtune_core::rate::RateModel;
 use crowdtune_core::tuner::TunedPlan;
 use crowdtune_obs::{Counter, Registry};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -96,7 +104,7 @@ pub struct FamilyStats {
 }
 
 /// Wall-clock breakdown of one family serve, reported by
-/// [`PlanFamilies::serve_timed`] for per-stage latency histograms.
+/// [`PlanFamilies::serve`] for per-stage latency histograms.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FamilyTiming {
     /// Nanoseconds blocked acquiring the per-family entry lock (contention
@@ -112,7 +120,9 @@ pub enum FamilyServe {
     /// The family was resident (or rehydrated from its snapshot); the job
     /// was answered from its table.
     Hit,
-    /// First job of its family: a cold solve that seeded the table.
+    /// A cold solve: the first job of its family, which seeded the table
+    /// (or a job whose key collides with a family of another group
+    /// structure, solved without touching that family).
     Seeded,
 }
 
@@ -121,9 +131,30 @@ struct FamilyState {
     /// The market belief the family's table was built against (the creating
     /// job's); every answer is canonicalised to it.
     rate_model: Arc<dyn RateModel>,
+    /// Per repetition group, in group order: `(member count, repetitions)`.
+    /// The durable record carries these; the table's unit costs alone do
+    /// not determine them (`u = n · k` has many factorisations).
+    groups: Vec<(u64, u32)>,
     /// The budget-indexed DP table, grown monotonically as larger budgets
     /// arrive.
     table: DpTable,
+}
+
+impl FamilyState {
+    /// The family's durable record, paired with its rate model for the
+    /// archive; `None` when the model has no serializable spec. It only
+    /// clones the compact table image, so it runs under the entry lock;
+    /// the encoding happens in [`FamilyPersistence::snapshot`], after the
+    /// lock drops.
+    fn record(&self, key: u64) -> Option<(FamilyRecord, Arc<dyn RateModel>)> {
+        let record = FamilyRecord {
+            fingerprint: key,
+            rate: self.rate_model.to_spec()?,
+            groups: self.groups.clone(),
+            table: self.table.snapshot(),
+        };
+        Some((record, self.rate_model.clone()))
+    }
 }
 
 /// `None` until the first solve for the family completes; a failed build
@@ -173,7 +204,7 @@ impl FamilyPersistence {
     /// archive keeps whichever snapshot covers the larger budget (the
     /// store's load path independently picks max coverage per fingerprint,
     /// so disk-side ordering never mattered).
-    fn snapshot(&self, record: FamilyRecord, rate_model: Arc<dyn RateModel>, blocking: bool) {
+    fn snapshot(&self, (record, rate_model): (FamilyRecord, Arc<dyn RateModel>), blocking: bool) {
         // Serialize onto the write-behind queue before taking the archive
         // lock — JSON encoding is the expensive part and must sit under no
         // lock at all. A stale-coverage write is harmless: the load path
@@ -225,7 +256,11 @@ impl FamilyPersistence {
             (entry.record.clone(), entry.rate_model.clone())
         };
         let table = DpTable::from_snapshot(&record.table).ok()?;
-        Some(FamilyState { rate_model, table })
+        Some(FamilyState {
+            rate_model,
+            groups: record.groups.clone(),
+            table,
+        })
     }
 }
 
@@ -236,6 +271,11 @@ struct Shard {
     entries: HashMap<u64, (Arc<FamilyEntry>, u64)>,
     tick: u64,
 }
+
+/// What one read of a family's table returns: the caller's read, how the
+/// family answered, and the job as it was read (canonicalised to the
+/// family's belief on a hit).
+type FamilyRead<'p, T> = (T, FamilyServe, Cow<'p, HTuningProblem>);
 
 /// Sharded map from [`FamilyFingerprint`] to the family's shared
 /// [`DpTable`]. Cheap to share: wrap in an `Arc`.
@@ -303,15 +343,6 @@ impl PlanFamilies {
         }
     }
 
-    /// Number of families currently rehydratable from the archive (0 without
-    /// persistence).
-    pub fn archived(&self) -> usize {
-        self.persistence
-            .as_ref()
-            .map(|p| p.archive.lock().expect("family archive poisoned").len())
-            .unwrap_or(0)
-    }
-
     /// Gets or creates the entry for a family, refreshing its LRU stamp. At
     /// capacity the least recently used entry of the shard is evicted to
     /// make room (a worker mid-serve on the victim keeps its `Arc` and
@@ -346,136 +377,110 @@ impl PlanFamilies {
         entry
     }
 
-    /// Captures a family's current state as a persistable snapshot (`None`
-    /// without persistence, or when the rate model has no serializable
-    /// spec). Called under the entry lock — it only clones the compact
-    /// table image; the expensive part (JSON encoding, archive/store
-    /// hand-off) happens in [`PlanFamilies::commit_snapshot`] *after* the
-    /// lock drops, so same-family jobs never queue behind serialization.
-    fn capture_snapshot(
+    /// The protocol [`PlanFamilies::serve`] and
+    /// [`PlanFamilies::objective_frontier`] share. Under the family's entry
+    /// lock it rehydrates a family that is not resident from its persisted
+    /// snapshot, checks the job's group structure against the table,
+    /// canonicalises the job to the family's belief (see module docs), grows
+    /// the table to the job's budget or seeds it with a cold solve, and runs
+    /// `read` on it. A hit is counted only once `read` succeeds. Returns
+    /// `None` in place of the read when the job's group structure differs
+    /// from the table's (a key collision; the family is left untouched),
+    /// and beside it the nanoseconds spent waiting for the entry lock. The
+    /// record of a grown or seeded table is handed to the store after the
+    /// lock drops, so same-family jobs never queue behind its encoding.
+    fn read_family<'p, T>(
         &self,
         key: FamilyFingerprint,
-        state: &FamilyState,
-        problem: &HTuningProblem,
-    ) -> Option<(FamilyRecord, Arc<dyn RateModel>)> {
-        self.persistence.as_ref()?;
-        let rate = state.rate_model.to_spec()?;
-        let groups = problem
-            .task_set()
-            .group_by_repetitions()
-            .iter()
-            .map(|group| (group.size() as u64, group.repetitions))
-            .collect();
-        Some((
-            FamilyRecord {
-                fingerprint: key.0,
-                rate,
-                groups,
-                table: state.table.snapshot(),
-            },
-            state.rate_model.clone(),
-        ))
-    }
-
-    /// Second half of [`PlanFamilies::capture_snapshot`]: runs outside the
-    /// entry lock.
-    fn commit_snapshot(&self, captured: Option<(FamilyRecord, Arc<dyn RateModel>)>) {
-        if let (Some(persistence), Some((record, rate_model))) = (&self.persistence, captured) {
-            persistence.snapshot(record, rate_model, false);
-        }
-    }
-
-    /// Answers an RA-resolved job from its family: a prefix read or in-place
-    /// extension when the family is resident (or rehydratable from a
-    /// persisted snapshot), a table-seeding cold solve otherwise. The caller
-    /// is responsible for only routing jobs that resolve to the Repetition
-    /// Algorithm here.
-    pub fn serve(
-        &self,
-        key: FamilyFingerprint,
-        problem: &HTuningProblem,
-    ) -> Result<(TunedPlan, FamilyServe)> {
-        self.serve_timed(key, problem)
-            .map(|(plan, how, _)| (plan, how))
-    }
-
-    /// [`PlanFamilies::serve`] plus a wall-clock breakdown (entry-lock wait,
-    /// estimate attach) for the service's per-stage telemetry.
-    pub fn serve_timed(
-        &self,
-        key: FamilyFingerprint,
-        problem: &HTuningProblem,
-    ) -> Result<(TunedPlan, FamilyServe, FamilyTiming)> {
+        problem: &'p HTuningProblem,
+        read: impl FnOnce(&HTuningProblem, &DpTable) -> Result<T>,
+    ) -> Result<(Option<FamilyRead<'p, T>>, u64)> {
         let entry = self.entry(key);
-        // The entry lock covers only the table work (read/extension/seed);
-        // attaching the latency estimates — the dominant serve cost — runs
-        // after it drops, so same-family jobs serialise on the DP alone.
         let lock_started = std::time::Instant::now();
         let mut slot = entry.state.lock().expect("family entry poisoned");
         let lock_wait_ns = lock_started.elapsed().as_nanos() as u64;
         if slot.is_none() {
             // Not resident: a persisted snapshot (evicted earlier, or loaded
             // at recovery) rebuilds the exact table instead of re-seeding.
-            if let Some(persistence) = &self.persistence {
-                if let Some(state) = persistence.rehydrate(key.0) {
-                    *slot = Some(state);
-                    self.reloads.inc();
-                }
+            *slot = self.persistence.as_ref().and_then(|p| p.rehydrate(key.0));
+            if slot.is_some() {
+                self.reloads.inc();
             }
         }
-        let mut captured = None;
-        let (problem, result, how) = match slot.as_mut() {
+        let capture =
+            |state: &FamilyState| self.persistence.as_ref().and_then(|_| state.record(key.0));
+        let mut record = None;
+        let read = match slot.as_mut() {
             Some(state) => {
-                // A 64-bit key collision across *group structures* is
-                // detectable: bail to a cold solve of the job as submitted,
-                // leaving the incumbent family untouched.
-                let same_shape = {
-                    let groups = problem.task_set().group_by_repetitions();
-                    groups.len() == state.table.unit_costs().len()
-                        && groups.iter().map(|g| g.unit_increment_cost()).eq(state
-                            .table
-                            .unit_costs()
-                            .iter()
-                            .copied())
-                };
-                if !same_shape {
-                    drop(slot);
-                    let result = RepetitionAlgorithm::new().tune(problem)?;
-                    let (plan, estimate_ns) = TunedPlan::from_result_timed(problem, result)?;
-                    return Ok((
-                        plan,
-                        FamilyServe::Seeded,
-                        FamilyTiming {
-                            lock_wait_ns,
-                            estimate_ns,
-                        },
-                    ));
+                let groups = problem.task_set().group_by_repetitions();
+                if !groups
+                    .iter()
+                    .map(|group| group.unit_increment_cost())
+                    .eq(state.table.unit_costs().iter().copied())
+                {
+                    return Ok((None, lock_wait_ns));
                 }
-                // Canonicalise to the family's belief (see module docs).
                 let problem = problem.with_rate_model(state.rate_model.clone());
                 if problem.discretionary_budget() > state.table.max_budget() {
                     RepetitionAlgorithm::extend_table(&problem, &mut state.table)?;
                     self.extensions.inc();
-                    captured = self.capture_snapshot(key, state, &problem);
+                    record = capture(state);
                 }
-                let result = RepetitionAlgorithm::result_from_table(&problem, &state.table)?;
+                let value = read(&problem, &state.table)?;
                 self.hits.inc();
-                (problem, result, FamilyServe::Hit)
+                (value, FamilyServe::Hit, Cow::Owned(problem))
             }
             None => {
-                let (result, table) = RepetitionAlgorithm::new().tune_with_table(problem)?;
                 let state = FamilyState {
                     rate_model: problem.rate_model().clone(),
-                    table,
+                    groups: problem
+                        .task_set()
+                        .group_by_repetitions()
+                        .iter()
+                        .map(|group| (group.size() as u64, group.repetitions))
+                        .collect(),
+                    table: RepetitionAlgorithm::build_table(problem)?,
                 };
-                captured = self.capture_snapshot(key, &state, problem);
+                let value = read(problem, &state.table)?;
+                record = capture(&state);
                 *slot = Some(state);
                 self.builds.inc();
-                (problem.clone(), result, FamilyServe::Seeded)
+                (value, FamilyServe::Seeded, Cow::Borrowed(problem))
             }
         };
         drop(slot);
-        self.commit_snapshot(captured);
+        if let (Some(persistence), Some(record)) = (&self.persistence, record) {
+            persistence.snapshot(record, false);
+        }
+        Ok((Some(read), lock_wait_ns))
+    }
+
+    /// Answers an RA-resolved job from its family: a prefix read or in-place
+    /// extension when the family is resident (or rehydratable from a
+    /// persisted snapshot), a table-seeding cold solve otherwise, plus a
+    /// wall-clock breakdown (entry-lock wait, estimate attach) for the
+    /// service's per-stage telemetry. A job whose key collides with a
+    /// family of another group structure is cold-solved as submitted and
+    /// reported `Seeded`, leaving that family untouched. The caller is
+    /// responsible for only routing jobs that resolve to the Repetition
+    /// Algorithm here.
+    pub fn serve(
+        &self,
+        key: FamilyFingerprint,
+        problem: &HTuningProblem,
+    ) -> Result<(TunedPlan, FamilyServe, FamilyTiming)> {
+        let (read, lock_wait_ns) =
+            self.read_family(key, problem, RepetitionAlgorithm::result_from_table)?;
+        let (result, how, problem) = match read {
+            Some(read) => read,
+            None => (
+                RepetitionAlgorithm::new().tune(problem)?,
+                FamilyServe::Seeded,
+                Cow::Borrowed(problem),
+            ),
+        };
+        // Attaching the latency estimates — the dominant serve cost — runs
+        // with no lock held, so same-family jobs serialise on the DP alone.
         let (plan, estimate_ns) = TunedPlan::from_result_timed(&problem, result)?;
         Ok((
             plan,
@@ -505,68 +510,26 @@ impl PlanFamilies {
         key: FamilyFingerprint,
         problem: &HTuningProblem,
     ) -> Result<(Vec<f64>, FamilyServe)> {
-        let entry = self.entry(key);
-        let mut slot = entry.state.lock().expect("family entry poisoned");
-        if slot.is_none() {
-            if let Some(persistence) = &self.persistence {
-                if let Some(state) = persistence.rehydrate(key.0) {
-                    *slot = Some(state);
-                    self.reloads.inc();
-                }
-            }
-        }
-        let mut captured = None;
-        let (frontier, how) = match slot.as_mut() {
-            Some(state) => {
-                let same_shape = {
-                    let groups = problem.task_set().group_by_repetitions();
-                    groups.len() == state.table.unit_costs().len()
-                        && groups.iter().map(|g| g.unit_increment_cost()).eq(state
-                            .table
-                            .unit_costs()
-                            .iter()
-                            .copied())
-                };
-                if !same_shape {
-                    return Err(crowdtune_core::CoreError::invalid_argument(
-                        "family fingerprint collision across group structures",
-                    ));
-                }
-                let problem = problem.with_rate_model(state.rate_model.clone());
-                if problem.discretionary_budget() > state.table.max_budget() {
-                    RepetitionAlgorithm::extend_table(&problem, &mut state.table)?;
-                    self.extensions.inc();
-                    captured = self.capture_snapshot(key, state, &problem);
-                }
-                let frontier = read_frontier(&state.table, problem.discretionary_budget())?;
-                self.hits.inc();
-                (frontier, FamilyServe::Hit)
-            }
-            None => {
-                let (_, table) = RepetitionAlgorithm::new().tune_with_table(problem)?;
-                let state = FamilyState {
-                    rate_model: problem.rate_model().clone(),
-                    table,
-                };
-                captured = self.capture_snapshot(key, &state, problem);
-                let frontier = read_frontier(&state.table, problem.discretionary_budget())?;
-                *slot = Some(state);
-                self.builds.inc();
-                (frontier, FamilyServe::Seeded)
-            }
+        let levels = |problem: &HTuningProblem, table: &DpTable| {
+            (0..=problem.discretionary_budget())
+                .map(|extra| table.objective_at(extra))
+                .collect::<Result<Vec<f64>>>()
         };
-        drop(slot);
-        self.commit_snapshot(captured);
-        Ok((frontier, how))
+        match self.read_family(key, problem, levels)?.0 {
+            Some((frontier, how, _)) => Ok((frontier, how)),
+            None => Err(crowdtune_core::CoreError::invalid_argument(
+                "family fingerprint collision across group structures",
+            )),
+        }
     }
 
     /// Snapshots every resident family into the store (catch-up for records
     /// the bounded write-behind queue may have dropped under load). Called
     /// by planned shutdowns; a no-op without persistence.
     pub fn flush_resident(&self) {
-        if self.persistence.is_none() {
+        let Some(persistence) = &self.persistence else {
             return;
-        }
+        };
         for shard in &self.shards {
             let entries: Vec<(u64, Arc<FamilyEntry>)> = {
                 let shard = shard.lock().expect("family shard poisoned");
@@ -577,42 +540,14 @@ impl PlanFamilies {
                     .collect()
             };
             for (key, entry) in entries {
-                let slot = entry.state.lock().expect("family entry poisoned");
-                if let Some(state) = slot.as_ref() {
-                    self.persist_raw(key, state);
+                let state = entry.state.lock().expect("family entry poisoned");
+                let record = state.as_ref().and_then(|state| state.record(key));
+                drop(state); // The encoding below runs with no lock held.
+                if let Some(record) = record {
+                    persistence.snapshot(record, true);
                 }
             }
         }
-    }
-
-    /// [`PlanFamilies::capture_snapshot`] without a problem at hand:
-    /// derives the group shapes from the table's unit costs and the
-    /// archived record (used by the flush path, where no job is being
-    /// served).
-    fn persist_raw(&self, key: u64, state: &FamilyState) {
-        let Some(persistence) = &self.persistence else {
-            return;
-        };
-        let Some(rate) = state.rate_model.to_spec() else {
-            return;
-        };
-        // Group shapes are not recoverable from unit costs alone
-        // (`u = n · k` has many factorisations); reuse the shapes from the
-        // archived snapshot of the same family, which every persisted family
-        // has (persist runs on seed and on every extension).
-        let archive = persistence.archive.lock().expect("family archive poisoned");
-        let Some(archived) = archive.get(&key) else {
-            return;
-        };
-        let groups = archived.record.groups.clone();
-        drop(archive);
-        let record = FamilyRecord {
-            fingerprint: key,
-            rate,
-            groups,
-            table: state.table.snapshot(),
-        };
-        persistence.snapshot(record, state.rate_model.clone(), true);
     }
 
     /// Current counters.
@@ -669,11 +604,6 @@ impl PlanFamilies {
     }
 }
 
-/// Reads levels `0..=extra` of a table's objective column.
-fn read_frontier(table: &DpTable, extra: u64) -> Result<Vec<f64>> {
-    (0..=extra).map(|x| table.objective_at(x)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -695,22 +625,47 @@ mod tests {
         .unwrap()
     }
 
+    /// `ra_problem`'s 32 repetition slots split 8 + 24 instead of 12 + 20:
+    /// another group structure, so other unit costs.
+    fn other_groups_problem(budget: u64) -> HTuningProblem {
+        let mut set = TaskSet::new();
+        let ty = set.add_type("vote", 2.0).unwrap();
+        set.add_tasks(ty, 2, 4).unwrap();
+        set.add_tasks(ty, 6, 4).unwrap();
+        HTuningProblem::new(
+            set,
+            Budget::units(budget),
+            Arc::new(LinearRate::new(1.0, 1.0).unwrap()),
+        )
+        .unwrap()
+    }
+
     fn key(problem: &HTuningProblem) -> FamilyFingerprint {
         FamilyFingerprint::of(problem, StrategyChoice::RepetitionAlgorithm)
+    }
+
+    /// A process-unique scratch directory (no tempfile crate offline).
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "crowdtune-family-test-{}-{tag}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
     #[test]
     fn first_job_seeds_then_budget_ladder_hits() {
         let families = PlanFamilies::new(4);
         let seed_problem = ra_problem(120, 1.0);
-        let (_, how) = families.serve(key(&seed_problem), &seed_problem).unwrap();
+        let (_, how, _) = families.serve(key(&seed_problem), &seed_problem).unwrap();
         assert_eq!(how, FamilyServe::Seeded);
 
         // Lower budgets are prefix reads, higher budgets extend in place;
         // every answer matches a cold solve bit-for-bit.
         for budget in [60u64, 80, 120, 200, 400] {
             let problem = ra_problem(budget, 1.0);
-            let (plan, how) = families.serve(key(&problem), &problem).unwrap();
+            let (plan, how, _) = families.serve(key(&problem), &problem).unwrap();
             assert_eq!(how, FamilyServe::Hit, "budget {budget}");
             let cold = Tuner::new(problem.rate_model().clone())
                 .with_strategy(StrategyChoice::RepetitionAlgorithm)
@@ -742,7 +697,7 @@ mod tests {
         let b = ra_problem(100, 2.0);
         assert_ne!(key(&a), key(&b));
         families.serve(key(&a), &a).unwrap();
-        let (_, how) = families.serve(key(&b), &b).unwrap();
+        let (_, how, _) = families.serve(key(&b), &b).unwrap();
         assert_eq!(how, FamilyServe::Seeded);
         assert_eq!(families.stats().families, 2);
     }
@@ -762,7 +717,7 @@ mod tests {
         let minimum = problem.minimum_budget();
         for (extra, objective) in frontier.iter().enumerate() {
             let at_budget = ra_problem(minimum + extra as u64, 1.0);
-            let (plan, _) = families.serve(key(&at_budget), &at_budget).unwrap();
+            let (plan, _, _) = families.serve(key(&at_budget), &at_budget).unwrap();
             assert_eq!(
                 objective.to_bits(),
                 plan.result.objective.unwrap().to_bits(),
@@ -776,6 +731,74 @@ mod tests {
             .objective_frontier(key(&problem), &problem)
             .unwrap();
         assert_eq!(how, FamilyServe::Hit);
+    }
+
+    /// A job whose key names a family of another group structure is
+    /// cold-solved as submitted: RA's answer on the job, labelled `Seeded`,
+    /// with no counter moved and the incumbent family still answering.
+    #[test]
+    fn serve_cold_solves_a_collision_across_group_structures() {
+        let families = PlanFamilies::new(4);
+        let incumbent = ra_problem(120, 1.0);
+        families.serve(key(&incumbent), &incumbent).unwrap();
+        let before = families.stats();
+
+        let intruder = other_groups_problem(120);
+        let (plan, how, _) = families.serve(key(&incumbent), &intruder).unwrap();
+        assert_eq!(how, FamilyServe::Seeded);
+        let cold = RepetitionAlgorithm::new().tune(&intruder).unwrap();
+        assert_eq!(plan, TunedPlan::from_result(&intruder, cold).unwrap());
+        assert_eq!(families.stats(), before);
+
+        let (_, how, _) = families.serve(key(&incumbent), &incumbent).unwrap();
+        assert_eq!(how, FamilyServe::Hit);
+    }
+
+    /// The router's read has no detached fallback: a frontier under a key
+    /// whose table has another group structure fails, and no counter moves.
+    #[test]
+    fn objective_frontier_errs_on_a_collision_across_group_structures() {
+        let families = PlanFamilies::new(4);
+        let incumbent = ra_problem(120, 1.0);
+        families.serve(key(&incumbent), &incumbent).unwrap();
+        let before = families.stats();
+        let intruder = other_groups_problem(120);
+        assert!(families
+            .objective_frontier(key(&incumbent), &intruder)
+            .is_err());
+        assert_eq!(families.stats(), before);
+    }
+
+    /// A durable family that is not resident (here: after a restart) is
+    /// rehydrated by a frontier read: one reload, answered as a hit with the
+    /// seeded frontier's bits, and no seed.
+    #[test]
+    fn objective_frontier_rehydrates_a_durable_family() {
+        let dir = scratch_dir("frontier-reload");
+        let problem = ra_problem(120, 1.0);
+        let seeded = {
+            let (store, _) = PlanStore::open(&dir).unwrap();
+            let families = PlanFamilies::durable(4, store.clone(), Vec::new());
+            let (frontier, how) = families
+                .objective_frontier(key(&problem), &problem)
+                .unwrap();
+            assert_eq!(how, FamilyServe::Seeded);
+            store.flush();
+            frontier
+        };
+        let (store, snapshot) = PlanStore::open(&dir).unwrap();
+        assert_eq!(snapshot.families.len(), 1);
+        let families = PlanFamilies::durable(4, store, snapshot.families);
+        let (frontier, how) = families
+            .objective_frontier(key(&problem), &problem)
+            .unwrap();
+        assert_eq!(how, FamilyServe::Hit);
+        let bits = |levels: &[f64]| levels.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&frontier), bits(&seeded));
+        let stats = families.stats();
+        assert_eq!((stats.reloads, stats.hits, stats.builds), (1, 1, 0));
+        drop(families);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// LRU eviction at the per-shard cap: a stream of one-shot families
@@ -798,19 +821,49 @@ mod tests {
         );
         assert_eq!(families.stats().evictions, 0);
         // Touch the hot family so it is no longer the LRU.
-        let (_, how) = families.serve(key(&hot), &hot).unwrap();
+        let (_, how, _) = families.serve(key(&hot), &hot).unwrap();
         assert_eq!(how, FamilyServe::Hit);
         // A new family displaces the stalest filler, not the hot one.
         let newcomer = ra_problem(80, 1000.0);
-        let (_, how) = families.serve(key(&newcomer), &newcomer).unwrap();
+        let (_, how, _) = families.serve(key(&newcomer), &newcomer).unwrap();
         assert_eq!(how, FamilyServe::Seeded);
         let stats = families.stats();
         assert_eq!(stats.families, MAX_FAMILIES_PER_SHARD as u64);
         assert_eq!(stats.evictions, 1);
         // The hot family is still resident: serving it again is a hit, not a
         // re-seed.
-        let (_, how) = families.serve(key(&hot), &hot).unwrap();
+        let (_, how, _) = families.serve(key(&hot), &hot).unwrap();
         assert_eq!(how, FamilyServe::Hit);
         assert_eq!(families.stats().builds, MAX_FAMILIES_PER_SHARD as u64 + 1);
+    }
+
+    /// The shutdown flush records every resident family from its own state,
+    /// including a hot family whose archive entry aged out: prefix reads
+    /// keep it resident without re-recording it while a full archive's
+    /// worth of other families is seeded.
+    #[test]
+    fn flush_records_every_resident_family() {
+        let dir = scratch_dir("flush-resident");
+        let (store, _) = PlanStore::open(&dir).unwrap();
+        let families = PlanFamilies::durable(1, store.clone(), Vec::new());
+        let hot = ra_problem(80, 1.0);
+        families.objective_frontier(key(&hot), &hot).unwrap();
+        // Fillers at the minimum budget seed one-level tables: cheap.
+        let minimum = hot.minimum_budget();
+        for i in 0..MAX_ARCHIVED_FAMILIES {
+            let filler = ra_problem(minimum, 2.0 + i as f64);
+            families.objective_frontier(key(&filler), &filler).unwrap();
+            let (_, how) = families.objective_frontier(key(&hot), &hot).unwrap();
+            assert_eq!(how, FamilyServe::Hit);
+        }
+        let stats = families.stats();
+        assert_eq!(stats.families, MAX_FAMILIES_PER_SHARD as u64);
+        assert_eq!(stats.extensions, 0, "the hot family was never re-recorded");
+        let before = store.stats().enqueued;
+        families.flush_resident();
+        assert_eq!(store.stats().enqueued - before, stats.families);
+        drop(families);
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -104,7 +104,6 @@ pub use service::{
     REPLAY_ATTEMPT_LIMIT,
 };
 pub use store::{
-    backoff_delay, FamilyRecord, FsyncPolicy, JournalRecord, LoadReport, PlanRecord, PlanStore,
-    RetryPolicy, Sleeper, StoreError, StoreOptions, StoreSnapshot, StoreStats, ThreadSleeper,
-    WriteFault,
+    FamilyRecord, FsyncPolicy, JournalRecord, LoadReport, PlanRecord, PlanStore, Sleeper,
+    StoreError, StoreOptions, StoreSnapshot, StoreStats, ThreadSleeper, WriteFault,
 };

@@ -173,7 +173,7 @@ impl MarketRouter {
                     StrategyChoice::RepetitionAlgorithm,
                     assignment.market,
                 );
-                let (plan, _, _) = self.families.serve_timed(key, &problem)?;
+                let (plan, _, _) = self.families.serve(key, &problem)?;
                 groups.push((assignment.clone(), plan));
             }
             self.splits.inc();
@@ -190,7 +190,7 @@ impl MarketRouter {
                 StrategyChoice::RepetitionAlgorithm,
                 quote.best_single,
             );
-            let (plan, _, _) = self.families.serve_timed(key, &problem)?;
+            let (plan, _, _) = self.families.serve(key, &problem)?;
             Ok(RoutedPlan::Single {
                 market: quote.best_single,
                 objective: quote.best_single_objective,

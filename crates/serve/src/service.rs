@@ -1749,8 +1749,8 @@ fn worker_loop(ctx: &WorkerContext) {
         // Panic isolation: a panicking objective or rate model fails *this
         // job* (typed `WorkerPanic`), not the thread. The solve takes no
         // lock before it can panic (family-table locks are acquired after
-        // the model is validated inside `serve_timed`), so unwinding here
-        // cannot poison shared state — hence the `AssertUnwindSafe`.
+        // the model is validated inside `PlanFamilies::serve`), so unwinding
+        // here cannot poison shared state — hence the `AssertUnwindSafe`.
         let solved = catch_unwind(AssertUnwindSafe(|| {
             serve_one(cache, families, &request, probed, telemetry, &mut trace)
         }));
@@ -1990,7 +1990,7 @@ fn serve_one(
             request.market,
         );
         let (plan, how, timing) = families
-            .serve_timed(family, &problem)
+            .serve(family, &problem)
             .map_err(ServeError::Tuning)?;
         let source = match how {
             FamilyServe::Hit => PlanSource::FamilyHit,

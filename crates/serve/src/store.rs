@@ -44,6 +44,16 @@
 //! way, so a restarted service never serves an old rule's estimate beside
 //! its own cold solves. Every degradation path ends in a cold solve, never
 //! in serving a wrong plan.
+//!
+//! ## Open-time rewrites
+//!
+//! Two streams are rewritten at open when they hold records that can never
+//! matter again: the journal's matched `Submitted`/`Completed` pairs, and
+//! plan records of an older estimator version (or none), which would
+//! otherwise be decoded and counted invalid at every open. A plan record of
+//! a newer version, or one that fails to decode for another reason, stays
+//! on disk. Both rewrites go through one temp file + fsync + rename path,
+//! and an open that finds nothing to drop writes nothing.
 
 use crowdtune_core::algorithms::{DpTable, DpTableSnapshot};
 use crowdtune_core::hash::Fnv1a;
@@ -325,11 +335,11 @@ pub struct StoreStats {
     /// point; always 0 under [`FsyncPolicy::Off`]).
     pub fsyncs: u64,
     /// Failed append attempts the writer retried (with backoff). Each lost
-    /// record contributes up to [`RetryPolicy::max_retries`] of these.
+    /// record contributes up to `MAX_RETRIES` (4) of these.
     pub retries: u64,
     /// Times the writer dropped a stream's file handle and re-opened it from
-    /// the path (truncating to the last durable prefix) after
-    /// [`RetryPolicy::reopen_after`] consecutive failures.
+    /// the path (truncating to the last durable prefix) after `REOPEN_AFTER`
+    /// (2) consecutive failures.
     pub reopens: u64,
 }
 
@@ -382,48 +392,28 @@ impl Sleeper for ThreadSleeper {
     }
 }
 
-/// Retry/self-healing policy of the background writer's append path.
-///
-/// A failed append is retried up to `max_retries` times with exponential
-/// backoff plus deterministic jitter (see [`backoff_delay`]); after
-/// `reopen_after` *consecutive* failures the writer additionally drops the
-/// stream's file handle and re-opens it from the path, truncating to the
-/// last durable prefix — the same cut recovery would make — so a poisoned
-/// descriptor or a partially-written record can never corrupt the stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retry attempts per record after the first failure (then the record is
-    /// counted in [`StoreStats::write_errors`] and dropped).
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles per attempt.
-    pub base_delay: std::time::Duration,
-    /// Cap on the exponential backoff (before jitter).
-    pub max_delay: std::time::Duration,
-    /// Consecutive failures after which the file handle is re-opened.
-    pub reopen_after: u32,
-}
+/// Retry attempts per failed append after the first failure; then the
+/// record is counted in [`StoreStats::write_errors`] and dropped.
+const MAX_RETRIES: u32 = 4;
+/// Backoff before the first retry; doubles per attempt.
+const BASE_DELAY: std::time::Duration = std::time::Duration::from_millis(1);
+/// Cap on the exponential backoff (before jitter).
+const MAX_DELAY: std::time::Duration = std::time::Duration::from_millis(100);
+/// Consecutive failures after which the writer drops the stream's file
+/// handle and re-opens it from the path, truncating to the last durable
+/// prefix — the same cut recovery would make — so a poisoned descriptor or
+/// a partially-written record can never corrupt the stream.
+const REOPEN_AFTER: u32 = 2;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 4,
-            base_delay: std::time::Duration::from_millis(1),
-            max_delay: std::time::Duration::from_millis(100),
-            reopen_after: 2,
-        }
-    }
-}
-
-/// The backoff before retry `attempt` (1-based): `base_delay · 2^(attempt-1)`
-/// capped at `max_delay`, plus deterministic jitter in `[0, delay/2)` drawn
+/// The backoff before retry `attempt` (1-based): `BASE_DELAY · 2^(attempt-1)`
+/// capped at `MAX_DELAY`, plus deterministic jitter in `[0, delay/2)` drawn
 /// from `seed` — jitter de-synchronises retry storms across streams without
 /// needing an entropy source. Pure, so backoff timing is unit-testable.
-pub fn backoff_delay(policy: &RetryPolicy, attempt: u32, seed: u64) -> std::time::Duration {
+fn backoff_delay(attempt: u32, seed: u64) -> std::time::Duration {
     let exponent = attempt.saturating_sub(1).min(20);
-    let scaled = policy
-        .base_delay
+    let scaled = BASE_DELAY
         .saturating_mul(1u32.checked_shl(exponent).unwrap_or(u32::MAX))
-        .min(policy.max_delay);
+        .min(MAX_DELAY);
     // splitmix64 on (seed, attempt): cheap, stateless, well-mixed.
     let mut z = seed
         .wrapping_add(u64::from(attempt))
@@ -440,16 +430,13 @@ pub fn backoff_delay(policy: &RetryPolicy, attempt: u32, seed: u64) -> std::time
 }
 
 /// Tunables of [`PlanStore::open_with`]. `..Default::default()` keeps the
-/// standing defaults (bounded queue, no fsync, default retry policy, no
-/// injected faults).
+/// standing defaults (bounded queue, no fsync, no injected faults).
 #[derive(Clone)]
 pub struct StoreOptions {
     /// Bound on the write-behind queue ([`DEFAULT_QUEUE_CAPACITY`]).
     pub queue_capacity: usize,
     /// When the writer fsyncs the stream files ([`FsyncPolicy::Off`]).
     pub fsync: FsyncPolicy,
-    /// Writer retry/self-healing policy ([`RetryPolicy::default`]).
-    pub retry: RetryPolicy,
     /// Injectable write-path fault layer (`None` in production).
     pub write_fault: Option<Arc<dyn WriteFault>>,
     /// Injectable backoff sleep ([`ThreadSleeper`] by default).
@@ -461,7 +448,6 @@ impl fmt::Debug for StoreOptions {
         f.debug_struct("StoreOptions")
             .field("queue_capacity", &self.queue_capacity)
             .field("fsync", &self.fsync)
-            .field("retry", &self.retry)
             .field("write_fault", &self.write_fault.is_some())
             .finish()
     }
@@ -472,7 +458,6 @@ impl Default for StoreOptions {
         StoreOptions {
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             fsync: FsyncPolicy::Off,
-            retry: RetryPolicy::default(),
             write_fault: None,
             sleeper: Arc::new(ThreadSleeper),
         }
@@ -591,7 +576,6 @@ struct StoreShared {
     impaired: AtomicBool,
     capacity: usize,
     fsync: FsyncPolicy,
-    retry: RetryPolicy,
     write_fault: Option<Arc<dyn WriteFault>>,
     sleeper: Arc<dyn Sleeper>,
 }
@@ -660,27 +644,31 @@ impl PlanStore {
             report,
             ..StoreSnapshot::default()
         };
-        for (stream, stream_replay) in &replayed {
+        for (stream, stream_replay) in &mut replayed {
             match stream {
-                Stream::Plans => reduce_plans(&stream_replay.payloads, &mut snapshot),
+                Stream::Plans => {
+                    // Stale plan records never load again: rewrite them out
+                    // of the file so later opens neither decode nor count
+                    // them. A store without any is left untouched.
+                    if reduce_plans(&mut stream_replay.payloads, &mut snapshot) {
+                        stream_replay.good_prefix =
+                            rewrite_stream(&dir, Stream::Plans, &stream_replay.payloads)?;
+                    }
+                }
                 Stream::Families => reduce_families(&stream_replay.payloads, &mut snapshot),
-                Stream::Journal => reduce_journal(&stream_replay.payloads, &mut snapshot),
+                Stream::Journal => {
+                    reduce_journal(&stream_replay.payloads, &mut snapshot);
+                    // Journal retirement: matched `Submitted`/`Completed`
+                    // pairs carry no recovery information — rewrite the
+                    // journal as its reduction (pending submits + an id
+                    // watermark) whenever that strictly shrinks it, so the
+                    // journal's size tracks in-flight work instead of
+                    // service lifetime.
+                    snapshot.retired_journal_records =
+                        rewrite_journal_if_smaller(&dir, stream_replay, &snapshot)?;
+                }
             }
         }
-
-        // Journal retirement: matched `Submitted`/`Completed` pairs carry no
-        // recovery information — rewrite the journal as its reduction
-        // (pending submits + an id watermark) whenever that strictly shrinks
-        // it, so the journal's size tracks in-flight work instead of service
-        // lifetime. Runs before the appender opens; the other two streams
-        // keep their truncated-tail prefixes untouched.
-        let journal = replayed
-            .iter_mut()
-            .find(|(stream, _)| *stream == Stream::Journal)
-            .map(|(_, r)| r)
-            .expect("journal stream replayed");
-        let kept = rewrite_journal_if_smaller(&dir, journal, &snapshot)?;
-        snapshot.retired_journal_records = kept;
 
         let mut appenders = Vec::new();
         for (stream, stream_replay) in &replayed {
@@ -716,7 +704,6 @@ impl PlanStore {
             impaired: AtomicBool::new(false),
             capacity: options.queue_capacity.max(1),
             fsync: options.fsync,
-            retry: options.retry,
             write_fault: options.write_fault,
             sleeper: options.sleeper,
         });
@@ -996,9 +983,8 @@ struct StreamAppender {
 impl StreamAppender {
     /// Appends one record line with the full retry/self-healing treatment:
     /// bounded retries with exponential backoff + jitter, and a file-handle
-    /// reopen (truncating to the durable prefix) after
-    /// [`RetryPolicy::reopen_after`] consecutive failures. Returns whether
-    /// the record made it to the file.
+    /// reopen (truncating to the durable prefix) after `REOPEN_AFTER`
+    /// consecutive failures. Returns whether the record made it to the file.
     fn append(&mut self, line: &[u8], shared: &StoreShared, seed: u64) -> bool {
         let mut attempt = 0u32;
         loop {
@@ -1012,8 +998,7 @@ impl StreamAppender {
                 Err(_) => {
                     self.dirty = true;
                     self.consecutive_failures += 1;
-                    if self.consecutive_failures >= shared.retry.reopen_after && self.file.is_some()
-                    {
+                    if self.consecutive_failures >= REOPEN_AFTER && self.file.is_some() {
                         // The handle itself may be the problem (revoked
                         // descriptor, stale network-filesystem handle):
                         // drop it and re-open from the path next attempt.
@@ -1021,13 +1006,11 @@ impl StreamAppender {
                         shared.reopens.inc();
                     }
                     attempt += 1;
-                    if attempt > shared.retry.max_retries {
+                    if attempt > MAX_RETRIES {
                         return false;
                     }
                     shared.retries.inc();
-                    shared
-                        .sleeper
-                        .sleep(backoff_delay(&shared.retry, attempt, seed));
+                    shared.sleeper.sleep(backoff_delay(attempt, seed));
                 }
             }
         }
@@ -1198,9 +1181,10 @@ fn rewrite_journal_if_smaller(
     if journal.payloads.len() <= kept {
         return Ok(0);
     }
-    let mut content = format!("{}\n", Stream::Journal.header());
-    for job in &snapshot.pending_jobs {
-        let record = JournalRecord::Submitted {
+    let payloads = snapshot
+        .pending_jobs
+        .iter()
+        .map(|job| JournalRecord::Submitted {
             job_id: job.job_id,
             tenant: job.tenant.clone(),
             market: job.market,
@@ -1209,24 +1193,31 @@ fn rewrite_journal_if_smaller(
             rate: job.rate.clone(),
             strategy: job.strategy,
             attempts: job.attempts,
-        };
-        let payload = serde_json::to_string(&record)
-            .map_err(|e| StoreError::new("re-serializing journal", std::io::Error::other(e)))?;
-        content.push_str(&record_line(&payload));
+        })
+        .chain(watermark)
+        .map(|record| {
+            serde_json::to_string(&record)
+                .map_err(|e| StoreError::new("re-serializing journal", std::io::Error::other(e)))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    journal.good_prefix = rewrite_stream(dir, Stream::Journal, &payloads)?;
+    Ok((journal.payloads.len() - kept) as u64)
+}
+
+/// Replaces a stream's file with its header and `payloads`, one record line
+/// each, and returns the new file length. Write-then-rename, never
+/// truncate-in-place: the records being kept are already durable, and a
+/// crash mid-rewrite must not be the one thing that loses them. The temp
+/// file is synced before the rename so the replacement is complete before it
+/// becomes visible, and the directory entry is synced (best-effort) so the
+/// rename itself survives a power cut.
+fn rewrite_stream(dir: &Path, stream: Stream, payloads: &[String]) -> Result<u64, StoreError> {
+    let mut content = format!("{}\n", stream.header());
+    for payload in payloads {
+        content.push_str(&record_line(payload));
     }
-    if let Some(record) = &watermark {
-        let payload = serde_json::to_string(record)
-            .map_err(|e| StoreError::new("re-serializing journal", std::io::Error::other(e)))?;
-        content.push_str(&record_line(&payload));
-    }
-    let path = dir.join(Stream::Journal.file_name());
-    // Write-then-rename, never truncate-in-place: the pending records being
-    // rewritten are already durable, and a crash mid-rewrite must not be the
-    // one thing that loses them. The temp file is synced before the rename
-    // so the replacement is complete before it becomes visible, and the
-    // directory entry is synced (best-effort) so the rename itself survives
-    // a power cut.
-    let tmp = dir.join(format!("{}.rewrite", Stream::Journal.file_name()));
+    let path = dir.join(stream.file_name());
+    let tmp = dir.join(format!("{}.rewrite", stream.file_name()));
     {
         let mut file = File::create(&tmp)
             .map_err(|e| StoreError::new(format!("creating {}", tmp.display()), e))?;
@@ -1240,8 +1231,7 @@ fn rewrite_journal_if_smaller(
     if let Ok(dir_handle) = File::open(dir) {
         let _ = dir_handle.sync_all();
     }
-    journal.good_prefix = content.len() as u64;
-    Ok((journal.payloads.len() - kept) as u64)
+    Ok(content.len() as u64)
 }
 
 /// The outcome of replaying one stream: the checksummed-valid record
@@ -1379,26 +1369,47 @@ fn open_stream(path: &Path, stream: Stream, good_prefix: u64) -> Result<(File, u
     Ok((file, durable_len))
 }
 
+/// Whether a plan payload that did not load is stale: a plan record of an
+/// older estimator version, or from before records carried one. It never
+/// loads again, so the open rewrites it out of the file. Anything else — a
+/// newer version (this binary may be a rollback) or a payload that does not
+/// decode — keeps its bytes on disk, as an unreadable stream does.
+fn is_stale_plan(payload: &str) -> bool {
+    let Ok(value) = serde_json::parse_value_str(payload) else {
+        return false;
+    };
+    let older = match value.opt_field("estimator") {
+        Ok(None) => true,
+        Ok(Some(version)) => u32::deserialize_value(version).is_ok_and(|v| v < ESTIMATOR_VERSION),
+        Err(_) => false,
+    };
+    older && value.field("fingerprint").is_ok() && value.field("plan").is_ok()
+}
+
 /// Parses and deduplicates plan records: first writer wins per fingerprint,
 /// mirroring the cache's incumbent semantics (equal fingerprints imply
 /// bit-identical plans anyway). A record from another estimator version is
 /// dropped before it can claim its fingerprint, so a later re-solve's record
-/// wins.
-fn reduce_plans(payloads: &[String], snapshot: &mut StoreSnapshot) {
+/// wins. Stale records ([`is_stale_plan`]) are also removed from `payloads`;
+/// returns whether there were any.
+fn reduce_plans(payloads: &mut Vec<String>, snapshot: &mut StoreSnapshot) -> bool {
     let mut seen: HashSet<u64> = HashSet::new();
-    for payload in payloads {
-        let Ok(record) = serde_json::from_str::<PlanRecord>(payload) else {
-            snapshot.report.invalid_records += 1;
-            continue;
-        };
-        if record.estimator != ESTIMATOR_VERSION {
-            snapshot.report.invalid_records += 1;
-            continue;
-        }
-        if seen.insert(record.fingerprint) {
-            snapshot.plans.push(record);
-        }
-    }
+    let before = payloads.len();
+    payloads.retain(
+        |payload| match serde_json::from_str::<PlanRecord>(payload) {
+            Ok(record) if record.estimator == ESTIMATOR_VERSION => {
+                if seen.insert(record.fingerprint) {
+                    snapshot.plans.push(record);
+                }
+                true
+            }
+            _ => {
+                snapshot.report.invalid_records += 1;
+                !is_stale_plan(payload)
+            }
+        },
+    );
+    payloads.len() < before
 }
 
 /// Parses, deduplicates (largest table coverage wins) and semantically
@@ -1891,6 +1902,62 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Stale plan records (an older estimator version, or none) are
+    /// rewritten out of `plans.log` at open, so the next open neither loads
+    /// nor counts them. A newer version's record (this binary may be a
+    /// rollback) and a payload that does not decode stay on disk byte for
+    /// byte and count as invalid at every open; an open that finds no stale
+    /// record leaves the file byte-identical.
+    #[test]
+    fn stale_plan_records_are_rewritten_away_at_open() {
+        let dir = scratch_dir("stale-plans");
+        std::fs::create_dir_all(&dir).unwrap();
+        let versioned = |fingerprint: u64, estimator: u32| {
+            let record = PlanRecord {
+                fingerprint,
+                estimator,
+                plan: plan(fingerprint),
+            };
+            serde_json::to_string(&record).unwrap()
+        };
+        let unversioned = versioned(3, ESTIMATOR_VERSION).replacen(
+            &format!(",\"estimator\":{ESTIMATOR_VERSION}"),
+            "",
+            1,
+        );
+        let header = format!("{}\n", Stream::Plans.header());
+        let kept = [
+            record_line(&versioned(1, ESTIMATOR_VERSION)),
+            record_line(&versioned(4, ESTIMATOR_VERSION + 1)),
+            record_line("{\"fingerprint\":5}"),
+            record_line(&versioned(6, ESTIMATOR_VERSION)),
+        ];
+        let stale = [
+            record_line(&versioned(2, ESTIMATOR_VERSION - 1)),
+            record_line(&unversioned),
+        ];
+        let path = dir.join("plans.log");
+        let written = [
+            &header, &kept[0], &stale[0], &kept[1], &stale[1], &kept[2], &kept[3],
+        ];
+        std::fs::write(&path, written.map(String::as_str).concat()).unwrap();
+
+        let (store, snapshot) = PlanStore::open(&dir).unwrap();
+        assert_eq!(snapshot.report.invalid_records, 4, "{:?}", snapshot.report);
+        let loaded: Vec<u64> = snapshot.plans.iter().map(|r| r.fingerprint).collect();
+        assert_eq!(loaded, [1, 6]);
+        drop(store);
+        let rewritten = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(rewritten, header.clone() + &kept.concat());
+
+        let (store, snapshot) = PlanStore::open(&dir).unwrap();
+        assert_eq!(snapshot.report.invalid_records, 2, "{:?}", snapshot.report);
+        assert_eq!(snapshot.plans.len(), 2);
+        drop(store);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), rewritten);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn truncated_tail_drops_only_the_suffix() {
         let dir = scratch_dir("truncate");
@@ -2020,29 +2087,27 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Backoff is pure and bounded: doubling from `base_delay`, capped at
-    /// `max_delay`, jitter strictly inside `[0, delay/2)`, and the same
+    /// Backoff is pure and bounded: doubling from `BASE_DELAY`, capped at
+    /// `MAX_DELAY`, jitter strictly inside `[0, delay/2)`, and the same
     /// `(attempt, seed)` always yields the same delay — so retry timing is
     /// testable without a clock.
     #[test]
     fn backoff_delay_doubles_caps_and_jitters_deterministically() {
-        let policy = RetryPolicy::default();
         for seed in [0u64, 1, 0xdead_beef_cafe] {
             for attempt in 1..=10u32 {
-                let base_ms = 1u128 << (attempt - 1).min(20);
-                let scaled_ms = base_ms.min(100);
-                let delay = backoff_delay(&policy, attempt, seed);
+                let scaled = (BASE_DELAY * (1 << (attempt - 1).min(20))).min(MAX_DELAY);
+                let delay = backoff_delay(attempt, seed);
                 assert!(
-                    delay.as_millis() >= scaled_ms,
+                    delay >= scaled,
                     "attempt {attempt}: {delay:?} below the exponential floor"
                 );
                 assert!(
-                    delay.as_nanos() < scaled_ms * 1_000_000 * 3 / 2,
+                    delay < scaled * 3 / 2,
                     "attempt {attempt}: {delay:?} exceeds floor + 50% jitter"
                 );
                 assert_eq!(
                     delay,
-                    backoff_delay(&policy, attempt, seed),
+                    backoff_delay(attempt, seed),
                     "same (attempt, seed) must be deterministic"
                 );
             }
@@ -2050,7 +2115,7 @@ mod tests {
         // The jitter actually draws from the seed: two seeds disagree
         // somewhere in the ladder.
         assert!(
-            (1..=10).any(|a| backoff_delay(&policy, a, 1) != backoff_delay(&policy, a, 2)),
+            (1..=10).any(|a| backoff_delay(a, 1) != backoff_delay(a, 2)),
             "jitter ignores the seed"
         );
     }
@@ -2111,7 +2176,7 @@ mod tests {
         let sleeper = Arc::new(RecordingSleeper::default());
         {
             let (store, _) = PlanStore::open_with(&dir, faulted_options(&fault, &sleeper)).unwrap();
-            fault.arm(2); // default reopen_after = 2, max_retries = 4
+            fault.arm(2); // REOPEN_AFTER = 2, MAX_RETRIES = 4
             store.record_plan(1, &plan(1));
             store.flush();
             let stats = store.stats();

@@ -513,12 +513,14 @@ fn plan_records_from_another_estimator_version_are_re_solved() {
             service.shutdown();
         }
 
+        // The previous open rewrote the stale records out of `plans.log`.
         let service = TuningService::recover(service_config(), &dir).unwrap();
         let recovery = service.recovery_stats().unwrap();
         assert!(
             recovery.loaded_plans >= requests.len() as u64,
             "{tag}: {recovery:?}"
         );
+        assert_eq!(recovery.invalid_records, 0, "{tag}: {recovery:?}");
         for (i, (request, expected)) in requests.iter().zip(&resolved).enumerate() {
             let served = service.tune(request.clone()).unwrap();
             assert_eq!(served.source, PlanSource::CacheHit, "{tag} job {i}");
