@@ -1,4 +1,4 @@
-//! Ablation experiments for the design choices called out in `DESIGN.md`:
+//! Ablation experiments for three design choices of the tuning strategies:
 //!
 //! 1. **Group-sum approximation** (Section 4.3.1): how far is the Scenario II
 //!    objective — the sum of expected group latencies — from the true

@@ -2,16 +2,15 @@
 //!
 //! The experiment harness of the `crowdtune` reproduction of *"Tuning
 //! Crowdsourced Human Computation"* (ICDE 2017). Each binary in `src/bin/`
-//! regenerates one table or figure of the paper's evaluation (see
-//! `DESIGN.md` for the per-experiment index and `EXPERIMENTS.md` for the
-//! paper-vs-measured comparison); the Criterion benches in `benches/`
-//! measure the cost of the tuning algorithms and the simulator themselves.
+//! regenerates one table or figure of the paper's evaluation (or, in
+//! `ablation_approximation`, checks one design choice), prints it, and
+//! writes its CSV under [`RESULTS_DIR`].
 //!
 //! | module | content |
 //! |---|---|
 //! | [`synthetic`] | Figure 2 workload builders, strategy line-ups and the 18-panel sweep |
 //! | [`output`] | aligned text tables and CSV emission used by every binary |
-//! | [`retune_demo`] | the shared drifting-market scenario for the online re-tuning example and bench |
+//! | [`retune_demo`] | the drifting-market scenario behind the online re-tuning example |
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

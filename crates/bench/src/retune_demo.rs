@@ -1,6 +1,6 @@
-//! The shared drifting-market scenario behind `examples/online_retuning.rs`
-//! and the `serve_throughput` benchmark, so the example's asserted claim and
-//! the benchmark's reported number can never drift apart.
+//! The drifting-market scenario behind `examples/online_retuning.rs`: a job
+//! tuned against a flat belief on a market that turns steep mid-flight, run
+//! once as tuned and once under an online [`Retuner`].
 
 use crowdtune_core::error::Result;
 use crowdtune_core::money::Budget;

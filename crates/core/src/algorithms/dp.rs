@@ -755,6 +755,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     /// A simple strictly convex separable objective: sum of `c_i / p_i`.
     fn harmonic_objective(coeffs: &'static [f64]) -> impl Fn(&[u64]) -> Result<f64> {
@@ -1111,6 +1112,103 @@ mod tests {
         let mut non_finite = good.clone();
         non_finite.levels[3].1 = f64::NAN.to_bits();
         assert!(DpTable::from_snapshot(&non_finite).is_err());
+    }
+
+    /// Candidates a scan over levels `from..=to` scores: one per level and
+    /// group whose unit cost fits under the level.
+    fn candidates(unit_costs: &[u64], from: u64, to: u64) -> u64 {
+        unit_costs
+            .iter()
+            .map(|&u| (to + 1).saturating_sub(from.max(u)))
+            .sum()
+    }
+
+    /// Asserts that one separable call over levels `from..=to` evaluated
+    /// each `term(i, p)` at most once for `p ≥ 2` and at most `payment_one`
+    /// times for `p = 1`, and that its evaluations stay two orders of
+    /// magnitude below the candidates it scored.
+    fn assert_scan_cost(
+        counts: &HashMap<(usize, u64), u32>,
+        payment_one: u32,
+        unit_costs: &[u64],
+        from: u64,
+        to: u64,
+    ) {
+        for (&(group, payment), &calls) in counts {
+            let bound = if payment == 1 { payment_one } else { 1 };
+            assert!(
+                calls <= bound,
+                "term({group}, {payment}) evaluated {calls} times (at most {bound})"
+            );
+        }
+        let evaluated: u64 = counts.values().map(|&calls| u64::from(calls)).sum();
+        let scored = candidates(unit_costs, from, to);
+        assert!(
+            evaluated * 100 <= scored,
+            "unit costs {unit_costs:?}: {evaluated} term calls for {scored} candidates"
+        );
+    }
+
+    /// The separable scan scores every candidate from tabulated group terms:
+    /// `term(i, p)` runs once per (group, payment ≥ 2) a call tabulates, and
+    /// payment 1 runs for the base state, the seed and (debug builds) the
+    /// base check. So the evaluations stay two orders of magnitude below the
+    /// candidates scored, where the closure path evaluates its objective
+    /// once per candidate. A count, not a timing: it reads no clock.
+    #[test]
+    fn separable_scan_evaluates_each_group_term_once() {
+        use crate::algorithms::common::GroupLatencyCache;
+        use crate::rate::LinearRate;
+        use crate::task::TaskSet;
+        use std::cell::{Cell, RefCell};
+
+        let base_check = u32::from(cfg!(debug_assertions));
+        let rate = LinearRate::unit_slope();
+        // The paper's Figure 2 RA shape (unit costs 150 and 250) and 20
+        // groups of one to twenty repetitions, as (repetitions, tasks).
+        let fig2 = [(3, 50), (5, 50)];
+        let wide: Vec<(u32, usize)> = (1..=20).map(|k| (k, 5)).collect();
+        for (shape, extra_budget) in [(&fig2[..], 4600u64), (&wide[..], 5000)] {
+            let mut set = TaskSet::new();
+            let ty = set.add_type("vote", 2.0).unwrap();
+            for &(repetitions, tasks) in shape {
+                set.add_tasks(ty, repetitions, tasks).unwrap();
+            }
+            let groups = set.group_by_repetitions();
+            let unit_costs: Vec<u64> = groups.iter().map(|g| g.unit_increment_cost()).collect();
+            let cache = GroupLatencyCache::new(&rate, &groups);
+            let counts = RefCell::new(HashMap::new());
+            let term = |i: usize, p: u64| {
+                *counts.borrow_mut().entry((i, p)).or_insert(0) += 1;
+                cache.phase1(i, p)
+            };
+            let quarter = extra_budget / 4;
+
+            // A cold build to B'/4, its warm-start extension to B', and a
+            // cold build straight to B'.
+            let mut table = DpTable::build_separable(&unit_costs, quarter, &term).unwrap();
+            assert_scan_cost(&counts.take(), 2 + base_check, &unit_costs, 1, quarter);
+            table.extend_to_separable(extra_budget, &term).unwrap();
+            let (from, to) = (quarter + 1, extra_budget);
+            assert_scan_cost(&counts.take(), 1 + base_check, &unit_costs, from, to);
+            DpTable::build_separable(&unit_costs, extra_budget, &term).unwrap();
+            assert_scan_cost(&counts.take(), 2 + base_check, &unit_costs, 1, extra_budget);
+
+            // The closure path: one objective call per candidate, plus the
+            // base state and the base check.
+            let calls = Cell::new(0u64);
+            DpTable::build(&unit_costs, extra_budget, |payments: &[u64]| {
+                calls.set(calls.get() + 1);
+                payments
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &p)| cache.phase1(i, p))
+                    .sum()
+            })
+            .unwrap();
+            let scored = candidates(&unit_costs, 1, extra_budget);
+            assert_eq!(calls.get(), scored + 1 + u64::from(base_check));
+        }
     }
 
     #[test]

@@ -31,11 +31,7 @@
 //!    correctness pass also submits one job with a W3C `traceparent` header
 //!    and asserts the echoed header keeps the caller's trace id and the span
 //!    tree is queryable at `GET /v1/debug/traces/{trace_id}`.
-//! 7. **Fault-layer pass** — same in-run pattern over two durable services,
-//!    chaos write-fault layer absent vs installed-but-disarmed;
-//!    `fault_layer_off_vs_on_p50_ratio` (~1.0, guarded with a floor) proves
-//!    fault injection support costs nothing on the fault-free hot path.
-//! 8. **Idle-herd + open-loop pass** — parks thousands of idle keep-alive
+//! 7. **Idle-herd + open-loop pass** — parks thousands of idle keep-alive
 //!    connections on the reactor (sized to the process fd limit), verifies
 //!    the `connections_open` gauge reports the crowd, then drives
 //!    **open-loop** arrivals (requests fire on a fixed schedule, latency
@@ -52,14 +48,11 @@
 //!
 //! Run with `cargo run --release --example gateway_loadgen`.
 
-use crowdtune_chaos::ChaosWriteFault;
 use crowdtune_core::rate::{LinearRate, LogRate, RateSpec};
 use crowdtune_core::task::TaskGroupSpec;
 use crowdtune_core::tuner::StrategyChoice;
 use crowdtune_gateway::{Gateway, GatewayConfig, JobRequestWire};
-use crowdtune_serve::{
-    AdmissionPolicy, ObsLevel, ServiceConfig, StoreOptions, TuningService, WriteFault,
-};
+use crowdtune_serve::{AdmissionPolicy, ObsLevel, ServiceConfig, TuningService};
 use serde::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -756,59 +749,6 @@ fn main() {
         (tracing_on_p50 / tracing_off_p50 - 1.0) * 100.0
     );
 
-    // -- Fault-layer pass: an *installed but disarmed* chaos write-fault must
-    // cost nothing on the fault-free hot path. Two fresh durable services,
-    // fault layer absent vs installed, warm caches, alternating submits (the
-    // same in-run pattern as the telemetry pass). The hook only runs on the
-    // background writer thread, so the off/on p50 ratio sits near 1.0.
-    let fault_base =
-        std::env::temp_dir().join(format!("crowdtune-loadgen-fault-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&fault_base);
-    let fault_off = TuningService::recover(ServiceConfig::default(), fault_base.join("off"))
-        .expect("open fault-off store");
-    let fault_on = TuningService::recover_with(
-        ServiceConfig::default(),
-        fault_base.join("on"),
-        StoreOptions {
-            write_fault: Some(Arc::new(ChaosWriteFault::new()) as Arc<dyn WriteFault>),
-            ..StoreOptions::default()
-        },
-    )
-    .expect("open fault-on store");
-    for wire in &jobs {
-        let request = wire.to_request(1_000_000).expect("wire converts");
-        fault_off.tune(request).expect("warm fault-off");
-        let request = wire.to_request(1_000_000).expect("wire converts");
-        fault_on.tune(request).expect("warm fault-on");
-    }
-    let mut fault_on_samples = Vec::with_capacity(overhead_rounds * jobs.len());
-    let mut fault_off_samples = Vec::with_capacity(overhead_rounds * jobs.len());
-    for _ in 0..overhead_rounds {
-        for wire in &jobs {
-            let request = wire.to_request(1_000_000).expect("wire converts");
-            let sent = Instant::now();
-            fault_on.tune(request).expect("fault-on submit");
-            fault_on_samples.push(sent.elapsed().as_secs_f64() * 1e6);
-            let request = wire.to_request(1_000_000).expect("wire converts");
-            let sent = Instant::now();
-            fault_off.tune(request).expect("fault-off submit");
-            fault_off_samples.push(sent.elapsed().as_secs_f64() * 1e6);
-        }
-    }
-    fault_off.shutdown();
-    fault_on.shutdown();
-    let _ = std::fs::remove_dir_all(&fault_base);
-    fault_on_samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    fault_off_samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let fault_on_p50 = percentile(&fault_on_samples, 0.50);
-    let fault_off_p50 = percentile(&fault_off_samples, 0.50);
-    let fault_ratio = fault_off_p50 / fault_on_p50;
-    println!(
-        "fault-layer overhead: installed p50 {fault_on_p50:.2}µs, absent p50 {fault_off_p50:.2}µs, \
-         off/on ratio {fault_ratio:.3} (overhead {:.1}%)",
-        (fault_on_p50 / fault_off_p50 - 1.0) * 100.0
-    );
-
     let metrics = Client::connect(addr).request("GET", "/v1/metrics", None);
     println!("metrics: {}", metrics.body);
     // The Prometheus exposition after real load, for the CI format checker.
@@ -866,9 +806,6 @@ fn main() {
          \"tracing_on_p50_us\": {tracing_on_p50:.2},\n  \
          \"tracing_off_p50_us\": {tracing_off_p50:.2},\n  \
          \"tracing_off_vs_on_p50_ratio\": {tracing_ratio:.4},\n  \
-         \"fault_layer_on_p50_us\": {fault_on_p50:.2},\n  \
-         \"fault_layer_off_p50_us\": {fault_off_p50:.2},\n  \
-         \"fault_layer_off_vs_on_p50_ratio\": {fault_ratio:.4},\n  \
          \"endpoints\": [\n{}\n  ]\n}}\n",
         endpoint_json.join(",\n")
     );

@@ -25,10 +25,10 @@
 use crowdtune_bench::{compare_tune_once_vs_retuned, DriftScenario};
 
 fn main() {
-    // The wide-and-deep scenario shared with the serve_throughput bench:
-    // a flat probed belief parks the wide group at the one-unit minimum and
-    // funnels spare budget into two deep chains; mid-job the market turns
-    // steep and the wide group becomes the bottleneck.
+    // The wide-and-deep scenario: a flat probed belief parks the wide group
+    // at the one-unit minimum and funnels spare budget into two deep chains;
+    // mid-job the market turns steep and the wide group becomes the
+    // bottleneck.
     let scenario = DriftScenario::wide_and_deep();
     let plan = scenario.offline_plan().unwrap();
     println!(

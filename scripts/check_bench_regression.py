@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Bench regression guard driven by a per-metric tolerance table.
 
-Compares a freshly measured bench JSON (quick mode, emitted by the CI bench
-smoke steps) against the committed baseline and fails when any guarded
+Compares a freshly measured bench JSON (quick mode, emitted by CI's gateway
+end-to-end smoke) against the committed baseline and fails when any guarded
 metric drops below its per-metric tolerance floor.
 
 Raw nanoseconds are not comparable across runner generations, so every
@@ -11,18 +11,8 @@ measured in the same process on the same machine, which normalises CPU speed
 away. A real slowdown of the guarded hot path shows up as a drop in the
 ratio.
 
-Suites (see SUITES below):
+The one suite (see SUITES below):
 
-* ``dp`` — the separable DP scan (BENCH_dp.json): per-budget rows, guarding
-  ``speedup_vs_reference`` at 25% tolerance. Quick mode uses few samples, so
-  small wobbles are expected; 25% is far outside the observed noise (<10%)
-  while still catching an accidental O(n)-per-candidate regression (2x+).
-* ``family`` — cross-job plan-family reuse (BENCH_family.json): guarding the
-  cross-budget medians. The solve-only speedup (~30x: table read/extension
-  vs cold RA solve) is tight and gets the standard 25% tolerance; the
-  end-to-end speedup (~2.7x) includes the latency-estimate attach and is
-  noisier in quick mode, so it gets a looser 60% floor that still catches
-  "family layer stopped reusing" (which costs the full ~2.7x).
 * ``gateway`` — the HTTP front-end (BENCH_gateway.json): guarding
   ``inprocess_vs_http_p50_ratio``, the in-run ratio of the in-process p50
   submit latency to the HTTP p50 latency of the same requests (~0.02-0.04:
@@ -41,14 +31,9 @@ Suites (see SUITES below):
   20% at that scale; ``tracing_off_vs_on_p50_ratio`` (~1.0, same 1.20x
   floor) is the analogous guard for causal span recording — the warm submit
   p50 with tracing disabled over tracing enabled, proving the
-  mostly-unsampled span path stays off the hot path;
-  ``fault_layer_off_vs_on_p50_ratio`` (~1.0, same 1.20x
-  floor) is the analogous guard for the chaos fault-injection layer — the
-  warm submit p50 of a durable service with the write-fault hook installed
-  but disarmed vs one without it, proving fault-injection support stays off
-  the fault-free hot path; and per-endpoint ``p99_vs_p50_ratio`` rows (tail
-  health of each GET surface plus the submit path) guarded with a
-  **ceiling** — the fresh tail/median ratio may grow at most 6x over the
+  mostly-unsampled span path stays off the hot path; and per-endpoint
+  ``p99_vs_p50_ratio`` rows (tail health of each GET surface plus the
+  submit path) guarded with a **ceiling** — the fresh tail/median ratio may grow at most 6x over the
   baseline, loose because single-client quick-mode p99 is one sample, but a
   real tail regression (a lock convoy in the metrics render, an O(n²)
   rendering path) blows the ratio up by orders of magnitude. Two reactor
@@ -62,17 +47,6 @@ Suites (see SUITES below):
   in-run, so machine speed cancels; blow-up means parked connections
   started taxing the request path (an O(connections) scan per event,
   timer-heap collapse), which costs 10x+ at herd scale.
-* ``market`` — cross-market routing (BENCH_market.json): guarding
-  ``router_vs_best_single_improvement``, the deterministic factor by which
-  the routed split beats the best single-market tune on the smoke's crossing
-  curves (~1.32; 5% tolerance catches any change in the DP frontier or the
-  knapsack assembly — the value is exact arithmetic, so any drift is a
-  semantic change), and ``warm_quote_vs_cold_route_ratio`` (~100x: a warm
-  quote is pure family-table prefix reads vs the cold route's table builds
-  and plan serves). The ratio is in-run so machine speed cancels, but the
-  warm side is a microsecond-scale minimum and scheduler-noisy, so it gets
-  a loose 5x floor — still far above the collapse of a real regression
-  (losing frontier reuse costs the full ~100x).
 
 Usage: check_bench_regression.py <suite> <baseline.json> <fresh.json>
 """
@@ -86,33 +60,14 @@ import sys
 # "ceiling" inverts it: fail when fresh > baseline * tolerance (for metrics
 # where *growth* is the regression, e.g. tail-latency ratios).
 SUITES = {
-    "dp": {
-        "rows": ("results", "budget", [("speedup_vs_reference", 1.25)]),
-        "scalars": [],
-    },
-    "family": {
-        "rows": None,
-        "scalars": [
-            ("median_family_hit_speedup_solve_only", 1.25),
-            ("median_family_hit_speedup_end_to_end", 1.60),
-        ],
-    },
     "gateway": {
         "rows": ("endpoints", "endpoint", [("p99_vs_p50_ratio", 6.00, "ceiling")]),
         "scalars": [
             ("inprocess_vs_http_p50_ratio", 3.00),
             ("telemetry_off_vs_on_p50_ratio", 1.20),
             ("tracing_off_vs_on_p50_ratio", 1.20),
-            ("fault_layer_off_vs_on_p50_ratio", 1.20),
             ("idle_herd_held_ratio", 1.10),
             ("open_loop_p50_vs_closed_p50_ratio", 6.00, "ceiling"),
-        ],
-    },
-    "market": {
-        "rows": None,
-        "scalars": [
-            ("router_vs_best_single_improvement", 1.05),
-            ("warm_quote_vs_cold_route_ratio", 5.00),
         ],
     },
 }
