@@ -11,11 +11,11 @@
 //! built on the same `RateSpec`/`TaskGroupSpec` catalogue the durable store
 //! persists — anything a client can submit is journal-able, and every plan
 //! served over the wire is **bit-identical** to an in-process `submit` of
-//! the same job (the `gateway_loadgen` example asserts this over real
-//! sockets).
+//! the same job (the e2e test `sync_submission_serves_bit_identical_plans`
+//! asserts this over real sockets).
 //!
 //! ```text
-//!  clients ──HTTP/1.1──▶ reactor threads (epoll readiness loop)
+//!  clients ──HTTP/1.1──▶ reactor thread (epoll readiness loop)
 //!                           │ accept / shed 503 at the connection cap
 //!                           ▼
 //!                   connection state machines          TuningService
@@ -35,11 +35,11 @@
 //!                                    GET    /healthz         liveness + drain
 //! ```
 //!
-//! A handful of reactor threads (one by default) holds tens of thousands of
-//! keep-alive connections: parked clients cost a registered fd and a timer
-//! entry, never a thread. Synchronous submits (`?wait=1`) park the
-//! *connection*, not a thread — the tuner pool signals completion through a
-//! per-reactor waker and the response is written on the next readiness turn.
+//! One reactor thread holds tens of thousands of keep-alive connections:
+//! parked clients cost a registered fd and a timer entry, never a thread.
+//! Synchronous submits (`?wait=1`) park the *connection*, not a thread — the
+//! tuner pool signals completion through the reactor's waker and the
+//! response is written on the next readiness turn.
 //! Request deadlines, idle keep-alive timeouts, write-stall bounds, and
 //! graceful drain all ride one timer heap.
 //!

@@ -47,19 +47,25 @@
 //!
 //! ## The reactor
 //!
-//! Each reactor thread owns a readiness poller (the `reactor` module), the
+//! One reactor thread owns a readiness poller (the `reactor` module), the
 //! listener, and every connection it accepted. A connection is a small state
 //! machine — reading (accumulate bytes, parse the buffer), dispatched (job
 //! handed to the tuner pool), then writing from a buffer — driven entirely
 //! by readiness events and a timer heap, so **idle keep-alive connections
 //! cost a registration, not a thread**: tens of thousands of idle clients
-//! are held by `reactors + tuner` threads total.
+//! are held by the reactor thread and the tuner pool.
+//!
+//! On keyless traffic the one reactor is plenty below ~50k req/s — the
+//! tuner pool does the real work. On keyed traffic the reactor does it: it
+//! derives one digest per configured key for every keyed request
+//! ([`HashedKeys::tenant_for`]), so with four keys it tops out near 3,000
+//! keyed req/s on a 2-core x86-64 box.
 //!
 //! `?wait=1` submits never park the reactor. An exact plan-cache hit is
 //! answered by the service at submit, so the reactor renders its response in
 //! the same turn that parsed the request — no hook, no waker, no second
 //! turn. Any other job goes to the tuner pool with a completion hook
-//! ([`TuningService::submit_observed`]) that wakes the owning reactor
+//! ([`TuningService::submit_observed`]) that wakes the reactor
 //! when the outcome is readable, and the response is rendered then.
 //! Pipelined requests behind a dispatched one wait in the read buffer so
 //! responses keep request order.
@@ -119,7 +125,7 @@ pub struct AuthConfig {
     pub keys: HashMap<String, String>,
     /// Accept keyless submits that self-declare a body tenant (legacy
     /// wire contract). Defaults to `true` for back-compat; production
-    /// deployments and the loadgen turn it off.
+    /// deployments and perfbench's `auth_http` workload turn it off.
     pub allow_body_tenant: bool,
 }
 
@@ -149,15 +155,8 @@ pub struct QuotaConfig {
 /// Sizing and bounds of the gateway.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
-    /// Reactor (event-loop) threads. Each owns its accepted connections.
-    /// On keyless traffic one is plenty below ~50k req/s — the tuner pool
-    /// does the real work. On keyed traffic the reactor does it: it derives
-    /// one digest per configured key for every keyed request
-    /// ([`HashedKeys::tenant_for`]), so with four keys one reactor tops out
-    /// near 3,000 keyed req/s on a 2-core x86-64 box.
-    pub reactors: usize,
-    /// Connections held concurrently across all reactors; the door sheds
-    /// `503` above it (mirrors the service's own admission control).
+    /// Connections held concurrently; the door sheds `503` above it
+    /// (mirrors the service's own admission control).
     pub max_connections: usize,
     /// HTTP parse bounds (request line, headers, body).
     pub limits: Limits,
@@ -188,7 +187,6 @@ pub struct GatewayConfig {
 impl Default for GatewayConfig {
     fn default() -> Self {
         GatewayConfig {
-            reactors: 1,
             max_connections: 8192,
             limits: Limits::default(),
             keep_alive_timeout: Duration::from_secs(5),
@@ -333,8 +331,8 @@ struct GatewayState {
     /// `config.auth` is consumed and cleared at startup).
     auth_keys: HashedKeys,
     draining: AtomicBool,
-    /// Connections currently registered, across every reactor (the
-    /// `max_connections` shed decision needs the global count).
+    /// Connections currently registered, read by the `max_connections`
+    /// shed decision.
     open_connections: AtomicUsize,
     /// Token buckets by tenant, lazily created on first submit.
     quota_buckets: Mutex<HashMap<String, TokenBucket>>,
@@ -360,18 +358,19 @@ fn try_take_token(state: &GatewayState, tenant: &str, quota: &QuotaConfig) -> Re
 }
 
 /// The running gateway. Dropping it (or calling [`Gateway::shutdown`])
-/// drains connections and joins every reactor; the wrapped service is left
+/// drains connections and joins the reactor; the wrapped service is left
 /// running and untouched.
 pub struct Gateway {
     addr: SocketAddr,
     state: Arc<GatewayState>,
-    reactors: Vec<JoinHandle<()>>,
-    wakers: Vec<Waker>,
+    /// `None` once drained and joined.
+    reactor: Option<JoinHandle<()>>,
+    waker: Waker,
 }
 
 impl Gateway {
     /// Binds `addr` (use port 0 for an ephemeral port — read it back with
-    /// [`Gateway::local_addr`]) and starts the reactor threads.
+    /// [`Gateway::local_addr`]) and starts the reactor thread.
     ///
     /// Refuses with [`std::io::ErrorKind::InvalidInput`] a configured API
     /// key that is empty or has leading or trailing whitespace: presented
@@ -416,28 +415,19 @@ impl Gateway {
             config,
             metrics,
         });
-        let mut reactors = Vec::new();
-        let mut wakers = Vec::new();
-        for index in 0..state.config.reactors.max(1) {
-            // Every reactor polls its own dup of the listening socket
-            // (shared open file description — a connection is accepted by
-            // exactly one of them).
-            let listener = listener.try_clone()?;
-            let (wake_tx, wake_rx) = waker()?;
-            let mut reactor = Reactor::new(state.clone(), listener, wake_tx.clone(), wake_rx)?;
-            wakers.push(wake_tx);
-            reactors.push(
-                std::thread::Builder::new()
-                    .name(format!("gateway-reactor-{index}"))
-                    .spawn(move || reactor.run())
-                    .expect("spawn gateway reactor"),
-            );
-        }
+        let (wake_tx, wake_rx) = waker()?;
+        let mut reactor = Reactor::new(state.clone(), listener, wake_tx.clone(), wake_rx)?;
+        // perfbench's `procfs.rs` groups thread CPU time by the
+        // `gateway-reactor` name prefix.
+        let reactor = std::thread::Builder::new()
+            .name("gateway-reactor-0".to_owned())
+            .spawn(move || reactor.run())
+            .expect("spawn gateway reactor");
         Ok(Gateway {
             addr,
             state,
-            reactors,
-            wakers,
+            reactor: Some(reactor),
+            waker: wake_tx,
         })
     }
 
@@ -453,7 +443,7 @@ impl Gateway {
 
     /// Graceful drain: stop accepting, close idle keep-alive connections,
     /// finish in-flight requests and dispatched jobs (responses carry
-    /// `Connection: close`) and join every reactor, all bounded by the
+    /// `Connection: close`) and join the reactor, all bounded by the
     /// configured deadlines. The wrapped [`TuningService`] keeps running —
     /// drain it separately via [`TuningService::begin_drain`]/`shutdown`
     /// when the whole process is going away.
@@ -463,10 +453,8 @@ impl Gateway {
 
     fn drain_and_join(&mut self) {
         self.state.draining.store(true, Ordering::Release);
-        for waker in &self.wakers {
-            waker.wake();
-        }
-        for reactor in self.reactors.drain(..) {
+        self.waker.wake();
+        if let Some(reactor) = self.reactor.take() {
             let _ = reactor.join();
         }
     }
@@ -474,7 +462,7 @@ impl Gateway {
 
 impl Drop for Gateway {
     fn drop(&mut self) {
-        if !self.reactors.is_empty() {
+        if self.reactor.is_some() {
             self.drain_and_join();
         }
     }

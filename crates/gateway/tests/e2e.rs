@@ -2,12 +2,13 @@
 //! `Gateway`, exercised with a minimal raw-TCP HTTP client. Covers the
 //! happy paths (sync and async submission, polling, metrics, health), the
 //! full error mapping (400/404/405/422/429/503), plan bit-identity against
-//! in-process submits, keep-alive + pipelining, malformed-input resilience,
-//! torn and trickled requests, drain semantics, and the
-//! `StoreStats::dropped` metrics exposure under a forced-full write-behind
-//! queue.
+//! in-process submits over a mixed EA/RA/HA catalogue, the Prometheus text
+//! format of the scrape that follows it, keep-alive + pipelining,
+//! malformed-input resilience, torn and trickled requests, drain semantics,
+//! and the `StoreStats::dropped` metrics exposure under a forced-full
+//! write-behind queue.
 
-use crowdtune_core::rate::{LinearRate, RateSpec};
+use crowdtune_core::rate::{LinearRate, LogRate, RateSpec};
 use crowdtune_core::task::TaskGroupSpec;
 use crowdtune_core::tuner::StrategyChoice;
 use crowdtune_gateway::{Gateway, GatewayConfig, JobRequestWire};
@@ -16,6 +17,7 @@ use crowdtune_serve::{
     AdmissionPolicy, FsyncPolicy, ObsLevel, PlanSource, ServiceConfig, StoreOptions, TuningService,
 };
 use serde::Value;
+use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -124,27 +126,68 @@ fn one_shot(addr: SocketAddr, method: &str, target: &str, body: Option<&str>) ->
 }
 
 fn ra_wire(tenant: &str, budget: u64) -> JobRequestWire {
+    job(
+        tenant,
+        vec![group("vote", 2.0, 4, 3), group("vote", 2.0, 4, 5)],
+        budget,
+        &RateSpec::Linear(LinearRate::new(1.5, 0.5).unwrap()),
+        StrategyChoice::Auto,
+    )
+}
+
+fn group(name: &str, processing_rate: f64, tasks: u64, repetitions: u32) -> TaskGroupSpec {
+    TaskGroupSpec {
+        name: name.to_owned(),
+        processing_rate,
+        tasks,
+        repetitions,
+    }
+}
+
+fn job(
+    tenant: &str,
+    groups: Vec<TaskGroupSpec>,
+    budget: u64,
+    rate: &RateSpec,
+    strategy: StrategyChoice,
+) -> JobRequestWire {
     JobRequestWire {
         tenant: tenant.to_owned(),
         market: None,
-        groups: vec![
-            TaskGroupSpec {
-                name: "vote".to_owned(),
-                processing_rate: 2.0,
-                tasks: 4,
-                repetitions: 3,
-            },
-            TaskGroupSpec {
-                name: "vote".to_owned(),
-                processing_rate: 2.0,
-                tasks: 4,
-                repetitions: 5,
-            },
-        ],
+        groups,
         budget,
-        rate: RateSpec::Linear(LinearRate::new(1.5, 0.5).unwrap()),
-        strategy: StrategyChoice::Auto,
+        rate: rate.clone(),
+        strategy,
     }
+}
+
+/// A mixed multi-tenant catalogue, each job with the `source` it reports
+/// when the catalogue is replayed in order on one service: Scenario I (EA),
+/// an RA budget ladder over one workload (a cold seed, a family read, a
+/// family extension, an exact repeat), Scenario III (HA) under a steep
+/// rate, a `LogRate` belief with a forced RA, and the EA job again from
+/// another tenant (cache keys ignore the tenant).
+fn catalogue() -> Vec<(JobRequestWire, &'static str)> {
+    use StrategyChoice::{Auto, RepetitionAlgorithm};
+    let linear = RateSpec::Linear(LinearRate::new(1.5, 0.5).unwrap());
+    let steep = RateSpec::Linear(LinearRate::steep());
+    let log = RateSpec::Log(LogRate::new(2.0).unwrap());
+    let ea = || vec![group("filter", 2.5, 8, 3)];
+    let ra = || vec![group("vote", 2.0, 5, 3), group("vote", 2.0, 5, 5)];
+    let ha = vec![group("easy", 3.0, 4, 3), group("hard", 1.0, 4, 5)];
+    vec![
+        (job("ea-tenant", ea(), 60, &linear, Auto), "cold"),
+        (job("ra-tenant", ra(), 240, &linear, Auto), "cold"),
+        (job("ra-tenant", ra(), 120, &linear, Auto), "family"),
+        (job("ra-tenant", ra(), 400, &linear, Auto), "family"),
+        (job("ra-tenant", ra(), 240, &linear, Auto), "cache"),
+        (job("ha-tenant", ha, 160, &steep, Auto), "cold"),
+        (
+            job("ra-tenant", ra(), 180, &log, RepetitionAlgorithm),
+            "cold",
+        ),
+        (job("ea-tenant-2", ea(), 60, &linear, Auto), "cache"),
+    ]
 }
 
 fn start_gateway(
@@ -189,16 +232,18 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 
 /// Sync submission end to end: the plan served over HTTP is byte-identical
 /// (as rendered JSON) to an in-process submit of the same wire request, the
-/// `PlanSource` is reported, and a repeat hits the cache.
+/// `PlanSource` is reported, and a repeat hits the cache. Then every job of
+/// `catalogue()`, replayed over one keep-alive socket, reports its expected
+/// source and serves the bytes a separate in-process reference service
+/// serves, and the Prometheus scrape taken after that traffic passes
+/// `exposition_errors` with every family of `REQUIRED_FAMILIES`.
 #[test]
 fn sync_submission_serves_bit_identical_plans() {
-    let (service, gateway) = start_gateway(
-        ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
-        },
-        GatewayConfig::default(),
-    );
+    let service_config = ServiceConfig {
+        workers: 2,
+        ..ServiceConfig::default()
+    };
+    let (service, gateway) = start_gateway(service_config, GatewayConfig::default());
     let addr = gateway.local_addr();
     let wire = ra_wire("acme", 120);
     let body = serde_json::to_string(&wire).unwrap();
@@ -234,7 +279,34 @@ fn sync_submission_serves_bit_identical_plans() {
         serde_json::to_string(field(&repeat_json, "plan")).unwrap(),
         reference_plan
     );
+
+    let reference = TuningService::start(service_config);
+    let mut client = Client::connect(addr);
+    for (index, (wire, source)) in catalogue().into_iter().enumerate() {
+        let body = serde_json::to_string(&wire).unwrap();
+        let response = client.request("POST", "/v1/jobs?wait=1", Some(&body));
+        assert_eq!(response.status, 200, "job {index}: {}", response.body);
+        let json = response.json();
+        assert_eq!(as_str(field(&json, "source")), source, "job {index}");
+        let reference_plan = reference
+            .tune(wire.to_request(1_000_000).unwrap())
+            .expect("in-process submit");
+        assert_eq!(
+            serde_json::to_string(field(&json, "plan")).unwrap(),
+            serde_json::to_string(&*reference_plan.plan).unwrap(),
+            "job {index} ({} budget {}) drifted over HTTP",
+            wire.tenant,
+            wire.budget
+        );
+    }
+
+    let scrape = client.request("GET", "/v1/metrics?format=prometheus", None);
+    assert_eq!(scrape.status, 200);
+    let errors = exposition_errors(&scrape.body, &REQUIRED_FAMILIES);
+    assert!(errors.is_empty(), "{errors:#?}\n{}", scrape.body);
+    drop(client);
     gateway.shutdown();
+    reference.shutdown();
 }
 
 /// Async submission: 202 + id, poll until done, the outcome is retained for
@@ -651,6 +723,319 @@ fn torn_requests_close_without_an_answer() {
     assert_eq!(metrics.status, 200);
     assert_no_parse_rejects(&metrics.body);
     gateway.shutdown();
+}
+
+/// The families a scrape taken after job traffic must carry: job stages,
+/// reuse layers, the router, the gateway's transport, spans and logs.
+const REQUIRED_FAMILIES: [&str; 20] = [
+    "crowdtune_jobs_submitted_total",
+    "crowdtune_jobs_answered_total",
+    "crowdtune_job_total_seconds",
+    "crowdtune_job_queue_wait_seconds",
+    "crowdtune_job_solve_seconds",
+    "crowdtune_job_estimate_seconds",
+    "crowdtune_router_split_total",
+    "crowdtune_family_hits_total",
+    "crowdtune_family_builds_total",
+    "crowdtune_family_extensions_total",
+    "crowdtune_family_reloads_total",
+    "crowdtune_gateway_requests_total",
+    "crowdtune_gateway_request_seconds",
+    "crowdtune_gateway_bytes_in_total",
+    "crowdtune_gateway_parse_rejects_total",
+    "crowdtune_gateway_connections_timed_out_total",
+    "crowdtune_spans_started_total",
+    "crowdtune_spans_sampled_total",
+    "crowdtune_spans_dropped_total",
+    "crowdtune_log_records_total",
+];
+
+/// A sample's labels in file order.
+type Labels<'a> = Vec<(&'a str, &'a str)>;
+
+/// Parses a sample's `k="v",...` label text (a trailing comma is allowed,
+/// `\"` escapes a quote); `None` when it does not parse.
+fn parse_labels(mut rest: &str) -> Option<Labels<'_>> {
+    let mut labels = Vec::new();
+    while !rest.is_empty() {
+        let name_end = rest
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .unwrap_or(rest.len());
+        let name = &rest[..name_end];
+        if name.is_empty() || name.starts_with(|c: char| c.is_ascii_digit()) {
+            return None;
+        }
+        let quoted = rest[name_end..].strip_prefix("=\"")?;
+        let mut escaped = false;
+        let value_end = quoted.char_indices().find_map(|(i, c)| {
+            let closes = c == '"' && !escaped;
+            escaped = c == '\\' && !escaped;
+            closes.then_some(i)
+        })?;
+        labels.push((name, &quoted[..value_end]));
+        rest = &quoted[value_end + 1..];
+        match rest.strip_prefix(',') {
+            Some(after) => rest = after,
+            None if rest.is_empty() => {}
+            None => return None,
+        }
+    }
+    Some(labels)
+}
+
+/// Splits a sample line into name, label text and value; `None` unless it
+/// reads `name value` or `name{labels} value`, one space before the value.
+fn split_sample(line: &str) -> Option<(&str, &str, &str)> {
+    let (series, value) = line.rsplit_once(' ')?;
+    let name_end = series
+        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == ':'))
+        .unwrap_or(series.len());
+    let (name, braced) = series.split_at(name_end);
+    let labels = match braced {
+        "" => "",
+        _ => braced.strip_prefix('{')?.strip_suffix('}')?,
+    };
+    let name_ok = name.starts_with(|c: char| !c.is_ascii_digit());
+    (name_ok && !value.is_empty()).then_some((name, labels, value))
+}
+
+/// Every Prometheus text-format (v0.0.4) violation in `text`, plus each
+/// `required` family it lacks; empty when a scraper can trust it. Sample
+/// lines parse as `name{labels} value`; each family has one `# TYPE` (a
+/// known type) and one `# HELP`, is typed before its first sample, and
+/// keeps its samples together; no sample repeats; counters are finite and
+/// non-negative; and each histogram child (its labels but `le`) has bucket
+/// counts that never fall as `le` grows, a `le="+Inf"` bucket equal to its
+/// `_count`, and a `_sum`.
+fn exposition_errors(text: &str, required: &[&str]) -> Vec<String> {
+    let mut errors = Vec::new();
+    let mut types: HashMap<&str, &str> = HashMap::new();
+    let mut helps: HashSet<&str> = HashSet::new();
+    // Families whose samples ended because another family's began.
+    let mut closed: HashSet<&str> = HashSet::new();
+    let mut samples: HashMap<(&str, Labels<'_>), f64> = HashMap::new();
+    let mut sample_order: Vec<(&str, Labels<'_>)> = Vec::new();
+    let mut last_family: Option<&str> = None;
+    for (index, line) in text.lines().enumerate() {
+        let at = format!("line {}", index + 1);
+        if line.trim().is_empty() {
+            continue;
+        }
+        if line.starts_with("# TYPE ") {
+            let [_, _, name, kind] = line.split(' ').collect::<Vec<_>>()[..] else {
+                errors.push(format!("{at}: malformed TYPE line {line:?}"));
+                continue;
+            };
+            if types.contains_key(name) {
+                errors.push(format!("{at}: duplicate TYPE for family {name}"));
+            }
+            if closed.contains(name) {
+                errors.push(format!("{at}: family {name} split across the file"));
+            }
+            if !["counter", "gauge", "histogram", "summary", "untyped"].contains(&kind) {
+                errors.push(format!("{at}: invalid type {kind:?} for {name}"));
+            }
+            types.insert(name, kind);
+            continue;
+        }
+        if line.starts_with("# HELP ") {
+            let [_, _, name, _] = line.splitn(4, ' ').collect::<Vec<_>>()[..] else {
+                errors.push(format!("{at}: malformed HELP line {line:?}"));
+                continue;
+            };
+            if !helps.insert(name) {
+                errors.push(format!("{at}: duplicate HELP for family {name}"));
+            }
+            continue;
+        }
+        if line.starts_with('#') {
+            continue;
+        }
+        let Some((name, labels, value)) = split_sample(line) else {
+            errors.push(format!("{at}: unparseable sample line {line:?}"));
+            continue;
+        };
+        let Some(labels) = parse_labels(labels) else {
+            errors.push(format!("{at}: unparseable label set {line:?}"));
+            continue;
+        };
+        let Ok(value) = value.parse::<f64>() else {
+            errors.push(format!("{at}: non-numeric value {line:?}"));
+            continue;
+        };
+        let family = ["_bucket", "_sum", "_count"]
+            .iter()
+            .filter_map(|suffix| name.strip_suffix(suffix))
+            .find(|stem| types.get(stem) == Some(&"histogram"))
+            .unwrap_or(name);
+        if !types.contains_key(family) {
+            errors.push(format!("{at}: sample {name} has no preceding TYPE line"));
+        }
+        match last_family.replace(family) {
+            Some(last) if last != family => {
+                closed.insert(last);
+                if closed.contains(family) {
+                    errors.push(format!("{at}: family {family} split across the file"));
+                }
+            }
+            _ => {}
+        }
+        if types.get(family) == Some(&"counter") && (value < 0.0 || !value.is_finite()) {
+            errors.push(format!("{at}: counter {name} has invalid value {value}"));
+        }
+        if samples.insert((name, labels.clone()), value).is_some() {
+            errors.push(format!("{at}: duplicate sample {name}{labels:?}"));
+        } else {
+            sample_order.push((name, labels));
+        }
+    }
+
+    for (&family, _) in types.iter().filter(|(_, &kind)| kind == "histogram") {
+        let bucket = format!("{family}_bucket");
+        // Child (every label but `le`) → its (le, count) buckets.
+        let mut children: HashMap<Labels<'_>, Vec<(&str, f64)>> = HashMap::new();
+        for key @ (_, labels) in sample_order.iter().filter(|(name, _)| *name == bucket) {
+            let Some(&(_, le)) = labels.iter().find(|(label, _)| *label == "le") else {
+                errors.push(format!("{family}: bucket sample without an le label"));
+                continue;
+            };
+            let child = labels.iter().filter(|(label, _)| *label != "le").copied();
+            children
+                .entry(child.collect())
+                .or_default()
+                .push((le, samples[key]));
+        }
+        for (child, buckets) in children {
+            let at = format!("{family}{child:?}");
+            let mut bounds: Vec<(f64, f64)> = Vec::new();
+            let mut inf = None;
+            for (le, count) in buckets {
+                if le == "+Inf" {
+                    inf = Some(count);
+                } else if let Ok(bound) = le.parse::<f64>() {
+                    bounds.push((bound, count));
+                } else {
+                    errors.push(format!("{at}: bad le {le:?}"));
+                }
+            }
+            let Some(inf) = inf else {
+                errors.push(format!("{at}: no le=\"+Inf\" bucket"));
+                continue;
+            };
+            bounds.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let mut last = 0.0;
+            for &(bound, count) in &bounds {
+                if count < last {
+                    errors.push(format!(
+                        "{at}: bucket le={bound} count {count} fell from {last}"
+                    ));
+                }
+                last = count;
+            }
+            if let Some((bound, count)) = bounds.last().filter(|(_, count)| inf < *count) {
+                errors.push(format!(
+                    "{at}: +Inf bucket {inf} below le={bound} count {count}"
+                ));
+            }
+            let count_name = format!("{family}_count");
+            match samples.get(&(count_name.as_str(), child.clone())) {
+                None => errors.push(format!("{at}: missing _count")),
+                Some(&count) if count != inf => {
+                    errors.push(format!("{at}: le=\"+Inf\" bucket {inf} != _count {count}"))
+                }
+                Some(_) => {}
+            }
+            let sum_name = format!("{family}_sum");
+            if !samples.contains_key(&(sum_name.as_str(), child)) {
+                errors.push(format!("{at}: missing _sum"));
+            }
+        }
+    }
+
+    for name in required {
+        if !types.contains_key(name) {
+            errors.push(format!("required family {name} is absent"));
+        }
+    }
+    errors
+}
+
+/// The exposition check rejects each way a hand-broken exposition can
+/// mislead a scraper, and accepts the well-formed text they are cut from.
+#[test]
+fn exposition_check_rejects_broken_expositions() {
+    const VALID: &str = "\
+# HELP jobs_total Jobs answered.
+# TYPE jobs_total counter
+jobs_total{source=\"cache\"} 3
+jobs_total{source=\"cold\"} 1
+# HELP wait_seconds Queue wait.
+# TYPE wait_seconds histogram
+wait_seconds_bucket{stage=\"queue\",le=\"0.001\"} 1
+wait_seconds_bucket{stage=\"queue\",le=\"0.01\"} 3
+wait_seconds_bucket{stage=\"queue\",le=\"+Inf\"} 4
+wait_seconds_sum{stage=\"queue\"} 0.02
+wait_seconds_count{stage=\"queue\"} 4
+# HELP open Connections open.
+# TYPE open gauge
+open 2
+";
+    const REQUIRED: [&str; 3] = ["jobs_total", "wait_seconds", "open"];
+    let errors = exposition_errors(VALID, &REQUIRED);
+    assert!(errors.is_empty(), "{errors:#?}");
+
+    // (cut from the valid text, put in its place, the one error it causes)
+    let broken = [
+        (
+            "# TYPE open gauge\n",
+            "# TYPE open gauge\n# TYPE open gauge\n",
+            "duplicate TYPE for family open",
+        ),
+        (
+            "# TYPE open gauge\nopen 2",
+            "open 2\n# TYPE open gauge",
+            "sample open has no preceding TYPE",
+        ),
+        (
+            "open 2\n",
+            "open 2\njobs_total{source=\"family\"} 1\n",
+            "family jobs_total split across the file",
+        ),
+        (
+            "le=\"0.01\"} 3",
+            "le=\"0.01\"} 0",
+            "bucket le=0.01 count 0 fell from 1",
+        ),
+        (
+            "le=\"+Inf\"} 4",
+            "le=\"+Inf\"} 5",
+            "le=\"+Inf\" bucket 5 != _count 4",
+        ),
+        (
+            "wait_seconds_sum{stage=\"queue\"} 0.02\n",
+            "",
+            "missing _sum",
+        ),
+        (
+            "jobs_total{source=\"cold\"} 1",
+            "jobs_total{source=\"cold\"} -1",
+            "counter jobs_total has invalid value -1",
+        ),
+        (
+            "# HELP open Connections open.\n# TYPE open gauge\nopen 2\n",
+            "",
+            "required family open is absent",
+        ),
+    ];
+    for (from, to, expected) in broken {
+        assert!(VALID.contains(from), "{from:?} is not in the valid text");
+        let text = VALID.replacen(from, to, 1);
+        let errors = exposition_errors(&text, &REQUIRED);
+        assert!(
+            errors.len() == 1 && errors[0].contains(expected),
+            "want only {expected:?}, got {errors:#?} for\n{text}"
+        );
+    }
 }
 
 /// Pulls the value of `name{labels}` out of a Prometheus text exposition.

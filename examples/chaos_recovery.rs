@@ -30,8 +30,7 @@
 //!    growth).
 //! 8. **Drain** — `/healthz` answers 503 `draining`.
 //!
-//! Exits non-zero on any violation. `CROWDTUNE_BENCH_QUICK=1` trims the
-//! workload (CI smoke mode).
+//! Exits non-zero on any violation.
 
 use crowdtune_chaos::{ChaosRate, ChaosWriteFault, WriteFault};
 use crowdtune_core::money::Budget;
@@ -49,10 +48,6 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn quick_mode() -> bool {
-    std::env::var("CROWDTUNE_BENCH_QUICK").is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-}
 
 fn ra_set() -> TaskSet {
     let mut set = TaskSet::new();
@@ -107,8 +102,8 @@ fn death_model() -> Arc<dyn RateModel> {
 /// The full catalogue of (label, request) pairs the smoke serves. Every one
 /// of them is also served on a fault-free reference service first, and every
 /// chaos-side answer must match that reference byte for byte.
-fn catalogue(quick: bool) -> Vec<(&'static str, JobRequest)> {
-    let mut jobs: Vec<(&'static str, JobRequest)> = vec![
+fn catalogue() -> Vec<(&'static str, JobRequest)> {
+    vec![
         ("baseline ra 240", request(ra_set(), 240, base_model())),
         ("baseline ra 120", request(ra_set(), 120, base_model())),
         ("baseline ha 160", request(ha_set(), 160, base_model())),
@@ -120,13 +115,10 @@ fn catalogue(quick: bool) -> Vec<(&'static str, JobRequest)> {
         ("heal probe ra 440", request(ra_set(), 440, base_model())),
         ("panic retry ra 200", request(ra_set(), 200, panic_model())),
         ("death retry ra 220", request(ra_set(), 220, death_model())),
-    ];
-    if !quick {
-        jobs.push(("baseline ra 400", request(ra_set(), 400, base_model())));
-        jobs.push(("outage ra 180", request(ra_set(), 180, base_model())));
-        jobs.push(("outage ha 200", request(ha_set(), 200, base_model())));
-    }
-    jobs
+        ("baseline ra 400", request(ra_set(), 400, base_model())),
+        ("outage ra 180", request(ra_set(), 180, base_model())),
+        ("outage ha 200", request(ha_set(), 200, base_model())),
+    ]
 }
 
 fn labelled(jobs: &[(&'static str, JobRequest)], prefix: &str) -> Vec<(String, JobRequest)> {
@@ -259,7 +251,6 @@ fn fault_cycle(
 }
 
 fn main() {
-    let quick = quick_mode();
     let dir = std::env::temp_dir().join(format!("crowdtune-chaos-smoke-{}", std::process::id()));
     let quarantine_dir = dir.join("quarantine");
     let _ = std::fs::remove_dir_all(&dir);
@@ -267,7 +258,7 @@ fn main() {
         workers: 2,
         ..ServiceConfig::default()
     };
-    let jobs = catalogue(quick);
+    let jobs = catalogue();
 
     // ---- Fault-free reference: the answers every chaos phase must match. --
     let reference_service = TuningService::start(config);
