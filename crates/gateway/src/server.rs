@@ -48,12 +48,19 @@
 //! ## The reactor
 //!
 //! One reactor thread owns a readiness poller (the `reactor` module), the
-//! listener, and every connection it accepted. A connection is a small state
-//! machine — reading (accumulate bytes, parse the buffer), dispatched (job
-//! handed to the tuner pool), then writing from a buffer — driven entirely
-//! by readiness events and a timer heap, so **idle keep-alive connections
-//! cost a registration, not a thread**: tens of thousands of idle clients
-//! are held by the reactor thread and the tuner pool.
+//! listener, every connection it accepted, and all the state the handlers
+//! touch: the job registry, the quota buckets, the configuration and the
+//! metric handles. It runs each request to completion, so none of that is
+//! locked and the connection cap reads the connection map's size. Only
+//! `ReactorShared` crosses threads: the completion queue and waker that
+//! tuner-pool hooks use, and the drain flag the [`Gateway`] handle raises.
+//!
+//! A connection is a small state machine — reading (accumulate bytes, parse
+//! the buffer), dispatched (job handed to the tuner pool), then writing from
+//! a buffer — driven entirely by readiness events and a timer heap, so
+//! **idle keep-alive connections cost a registration, not a thread**: tens
+//! of thousands of idle clients are held by the reactor thread and the
+//! tuner pool.
 //!
 //! On keyless traffic the one reactor is plenty below ~50k req/s — the
 //! tuner pool does the real work. On keyed traffic the reactor does it: it
@@ -99,7 +106,7 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -324,37 +331,68 @@ impl JobRegistry {
     }
 }
 
+/// What the request handlers read and write. The reactor thread owns it
+/// outright and runs every request to completion, so nothing in it is
+/// locked.
 struct GatewayState {
     service: Arc<TuningService>,
-    jobs: Mutex<JobRegistry>,
+    jobs: JobRegistry,
     /// Configured API keys as salted iterated digests (the plaintext map in
     /// `config.auth` is consumed and cleared at startup).
     auth_keys: HashedKeys,
-    draining: AtomicBool,
-    /// Connections currently registered, read by the `max_connections`
-    /// shed decision.
-    open_connections: AtomicUsize,
-    /// Token buckets by tenant, lazily created on first submit.
-    quota_buckets: Mutex<HashMap<String, TokenBucket>>,
+    /// `None` when `config.quota` is.
+    quotas: Option<Quotas>,
     config: GatewayConfig,
     metrics: GatewayMetrics,
 }
 
-/// Spends one token from `tenant`'s bucket, or reports how many whole
-/// seconds until one accrues (the `Retry-After` value, at least 1).
-fn try_take_token(state: &GatewayState, tenant: &str, quota: &QuotaConfig) -> Result<(), u64> {
-    let rate = quota.requests_per_sec.max(1e-9);
-    let burst = quota.burst.max(1.0);
-    let now = Instant::now();
-    let mut buckets = state.quota_buckets.lock().expect("quota buckets poisoned");
-    buckets
-        .entry(tenant.to_owned())
-        .or_insert_with(|| TokenBucket {
-            tokens: burst,
-            refilled_at: now,
-        })
-        .try_take(now, rate, burst)
-        .map_err(|deficit| (deficit / rate).ceil().max(1.0) as u64)
+/// The bucket count below which [`Quotas`] never sweeps: a deployment with
+/// a handful of tenants keeps every bucket.
+const QUOTA_SWEEP_FLOOR: usize = 64;
+
+/// Per-tenant token buckets, created on a tenant's first submit. A bucket
+/// that has refilled to `burst` answers every later submit as a fresh one
+/// would, so a sweep drops it and no decision changes. A sweep runs when the
+/// map reaches twice the size the last one left (and at least
+/// [`QUOTA_SWEEP_FLOOR`]): amortised O(1) per submit, and the map stays
+/// near the number of tenants that submitted within `burst / rate` seconds
+/// rather than every tenant string ever seen.
+struct Quotas {
+    buckets: HashMap<String, TokenBucket>,
+    rate: f64,
+    burst: f64,
+    /// The map size at which the next sweep runs.
+    sweep_at: usize,
+}
+
+impl Quotas {
+    fn new(quota: QuotaConfig) -> Quotas {
+        Quotas {
+            buckets: HashMap::new(),
+            rate: quota.requests_per_sec.max(1e-9),
+            burst: quota.burst.max(1.0),
+            sweep_at: QUOTA_SWEEP_FLOOR,
+        }
+    }
+
+    /// Spends one token from `tenant`'s bucket, or reports how many whole
+    /// seconds until one accrues (the `Retry-After` value, at least 1).
+    fn try_take(&mut self, tenant: &str, now: Instant) -> Result<(), u64> {
+        let (rate, burst) = (self.rate, self.burst);
+        if self.buckets.len() >= self.sweep_at {
+            self.buckets
+                .retain(|_, bucket| bucket.available(now, rate, burst) < burst);
+            self.sweep_at = QUOTA_SWEEP_FLOOR.max(2 * self.buckets.len());
+        }
+        self.buckets
+            .entry(tenant.to_owned())
+            .or_insert(TokenBucket {
+                tokens: burst,
+                refilled_at: now,
+            })
+            .try_take(now, rate, burst)
+            .map_err(|deficit| (deficit / rate).ceil().max(1.0) as u64)
+    }
 }
 
 /// The running gateway. Dropping it (or calling [`Gateway::shutdown`])
@@ -362,10 +400,9 @@ fn try_take_token(state: &GatewayState, tenant: &str, quota: &QuotaConfig) -> Re
 /// running and untouched.
 pub struct Gateway {
     addr: SocketAddr,
-    state: Arc<GatewayState>,
+    shared: Arc<ReactorShared>,
     /// `None` once drained and joined.
     reactor: Option<JoinHandle<()>>,
-    waker: Waker,
 }
 
 impl Gateway {
@@ -395,7 +432,7 @@ impl Gateway {
         // the whole process, and a second gateway on the same service
         // shares cells via the registry's get-or-create semantics.
         let metrics = GatewayMetrics::new(&service.registry());
-        let registry = JobRegistry {
+        let jobs = JobRegistry {
             slots: HashMap::new(),
             completed_order: VecDeque::new(),
             pending_order: VecDeque::new(),
@@ -405,18 +442,21 @@ impl Gateway {
             retained_gauge: metrics.jobs_retained.clone(),
             expired_total: metrics.jobs_expired.clone(),
         };
-        let state = Arc::new(GatewayState {
+        let state = GatewayState {
             service,
-            jobs: Mutex::new(registry),
+            jobs,
             auth_keys,
-            draining: AtomicBool::new(false),
-            open_connections: AtomicUsize::new(0),
-            quota_buckets: Mutex::new(HashMap::new()),
+            quotas: config.quota.map(Quotas::new),
             config,
             metrics,
+        };
+        let (waker, wake_rx) = waker()?;
+        let shared = Arc::new(ReactorShared {
+            completions: Mutex::new(Vec::new()),
+            waker,
+            draining: AtomicBool::new(false),
         });
-        let (wake_tx, wake_rx) = waker()?;
-        let mut reactor = Reactor::new(state.clone(), listener, wake_tx.clone(), wake_rx)?;
+        let mut reactor = Reactor::new(state, listener, shared.clone(), wake_rx)?;
         // perfbench's `procfs.rs` groups thread CPU time by the
         // `gateway-reactor` name prefix.
         let reactor = std::thread::Builder::new()
@@ -425,9 +465,8 @@ impl Gateway {
             .expect("spawn gateway reactor");
         Ok(Gateway {
             addr,
-            state,
+            shared,
             reactor: Some(reactor),
-            waker: wake_tx,
         })
     }
 
@@ -438,7 +477,7 @@ impl Gateway {
 
     /// Whether the gateway has begun draining.
     pub fn is_draining(&self) -> bool {
-        self.state.draining.load(Ordering::Acquire)
+        self.shared.draining()
     }
 
     /// Graceful drain: stop accepting, close idle keep-alive connections,
@@ -452,8 +491,8 @@ impl Gateway {
     }
 
     fn drain_and_join(&mut self) {
-        self.state.draining.store(true, Ordering::Release);
-        self.waker.wake();
+        self.shared.draining.store(true, Ordering::Release);
+        self.shared.waker.wake();
         if let Some(reactor) = self.reactor.take() {
             let _ = reactor.join();
         }
@@ -468,11 +507,34 @@ impl Drop for Gateway {
     }
 }
 
-/// What a reactor's completion hooks write into: the tokens of connections
-/// whose dispatched job finished, plus the waker that un-parks the poller.
+/// The one part of the gateway another thread touches. Tuner-pool
+/// completion hooks push the token of the connection whose job finished and
+/// wake the poller; the [`Gateway`] handle raises the drain flag and wakes
+/// it. Everything else — listener, connections, timers, job registry, quota
+/// buckets — belongs to the reactor thread alone.
 struct ReactorShared {
     completions: Mutex<Vec<u64>>,
     waker: Waker,
+    draining: AtomicBool,
+}
+
+impl ReactorShared {
+    fn draining(&self) -> bool {
+        self.draining.load(Ordering::Acquire)
+    }
+
+    /// The completion hook of the job connection `token` dispatched.
+    fn hook(self: &Arc<Self>, token: u64) -> crowdtune_serve::CompletionNotify {
+        let shared = self.clone();
+        Arc::new(move |_job_id| {
+            shared
+                .completions
+                .lock()
+                .expect("completion queue poisoned")
+                .push(token);
+            shared.waker.wake();
+        })
+    }
 }
 
 const WAKER_TOKEN: u64 = 0;
@@ -599,7 +661,7 @@ impl Timers {
 }
 
 struct Reactor {
-    state: Arc<GatewayState>,
+    state: GatewayState,
     poller: Poller,
     listener: TcpListener,
     wake_rx: WakeReceiver,
@@ -616,9 +678,9 @@ struct Reactor {
 
 impl Reactor {
     fn new(
-        state: Arc<GatewayState>,
+        state: GatewayState,
         listener: TcpListener,
-        wake_tx: Waker,
+        shared: Arc<ReactorShared>,
         wake_rx: WakeReceiver,
     ) -> std::io::Result<Reactor> {
         let mut poller = Poller::new()?;
@@ -629,10 +691,7 @@ impl Reactor {
             poller,
             listener,
             wake_rx,
-            shared: Arc::new(ReactorShared {
-                completions: Mutex::new(Vec::new()),
-                waker: wake_tx,
-            }),
+            shared,
             conns: HashMap::new(),
             timers: Timers::default(),
             next_token: FIRST_CONN_TOKEN,
@@ -683,7 +742,7 @@ impl Reactor {
 
     /// Handles drain progression; returns true when the reactor is done.
     fn drain_tick(&mut self) -> bool {
-        if !self.state.draining.load(Ordering::Acquire) {
+        if !self.shared.draining() {
             return false;
         }
         if self.accepting {
@@ -741,12 +800,11 @@ impl Reactor {
     }
 
     fn take_connection(&mut self, stream: TcpStream) {
-        let state = &self.state;
-        if state.draining.load(Ordering::Acquire) {
+        if self.shared.draining() {
             return; // raced a drain; the listener is about to deregister
         }
-        let open = state.open_connections.load(Ordering::Relaxed);
-        if open >= state.config.max_connections.max(1) {
+        let state = &self.state;
+        if self.conns.len() >= state.config.max_connections.max(1) {
             // Shed at the door like the service's admission control does.
             // The accepted socket is still blocking; bound the farewell
             // write so a non-reading client cannot stall the reactor.
@@ -776,7 +834,6 @@ impl Reactor {
         {
             return;
         }
-        state.open_connections.fetch_add(1, Ordering::Relaxed);
         state.metrics.connections_open.add(1);
         state.metrics.connections_accepted.inc();
         let mut conn = Conn {
@@ -847,7 +904,7 @@ impl Reactor {
             };
             // The hook fires after the worker's send, so the outcome is
             // readable now.
-            let response = settle(&self.state, handle);
+            let response = settle(&mut self.state, handle);
             let response = match traceparent {
                 Some(value) => response.with_header("traceparent", value),
                 None => response,
@@ -856,7 +913,7 @@ impl Reactor {
             self.state
                 .metrics
                 .observe(Endpoint::PostJobs, response.status, nanos);
-            let keep_alive = keep_alive && !self.state.draining.load(Ordering::Acquire);
+            let keep_alive = keep_alive && !self.shared.draining();
             self.queue_response(&mut conn, response, keep_alive);
             // Pipelined requests read before the dispatch are sitting in
             // the buffer with no readiness event to reparse them — resume
@@ -939,15 +996,9 @@ impl Reactor {
     /// polling even though the submitting connection died.
     fn release_conn(&mut self, conn: Conn) {
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        self.state.open_connections.fetch_sub(1, Ordering::Relaxed);
         self.state.metrics.connections_open.add(-1);
         if let Phase::Dispatched { handle, .. } = conn.phase {
-            let job_id = handle.job_id;
-            self.state
-                .jobs
-                .lock()
-                .expect("gateway job registry poisoned")
-                .store_pending(job_id, handle);
+            self.state.jobs.store_pending(handle.job_id, handle);
         }
     }
 
@@ -1050,47 +1101,86 @@ impl Reactor {
     /// service queued parks the *connection* (never a thread) in
     /// `Dispatched` until the tuner pool's completion hook fires.
     fn serve_request(&mut self, conn: &mut Conn, request: Request) {
-        let endpoint = endpoint_of(&request);
         let started = Instant::now();
-        let keep_alive = request.keep_alive && !self.state.draining.load(Ordering::Acquire);
-        if endpoint == Endpoint::PostJobs {
-            let shared = self.shared.clone();
-            let token = conn.token;
-            let notify = move || -> crowdtune_serve::CompletionNotify {
-                Arc::new(move |_job_id| {
-                    shared
-                        .completions
-                        .lock()
-                        .expect("completion queue poisoned")
-                        .push(token);
-                    shared.waker.wake();
-                })
-            };
-            match post_job(&self.state, &request, notify) {
-                PostOutcome::Respond(response) => {
-                    let nanos = started.elapsed().as_nanos() as u64;
-                    self.state.metrics.observe(endpoint, response.status, nanos);
-                    self.queue_response(conn, response, keep_alive);
-                }
-                PostOutcome::Dispatched {
+        let keep_alive = request.keep_alive && !self.shared.draining();
+        let (endpoint, outcome) = self.route(conn.token, &request);
+        match outcome {
+            Outcome::Respond(response) => {
+                let nanos = started.elapsed().as_nanos() as u64;
+                self.state.metrics.observe(endpoint, response.status, nanos);
+                self.queue_response(conn, response, keep_alive);
+            }
+            Outcome::Dispatched {
+                handle,
+                traceparent,
+            } => {
+                Self::clear_deadline(conn);
+                conn.phase = Phase::Dispatched {
                     handle,
+                    started,
+                    keep_alive,
                     traceparent,
-                } => {
-                    Self::clear_deadline(conn);
-                    conn.phase = Phase::Dispatched {
-                        handle,
-                        started,
-                        keep_alive,
-                        traceparent,
-                    };
+                };
+            }
+        }
+    }
+
+    /// The route table: each path or prefix the gateway serves, named once,
+    /// with the `endpoint` label and the handler of each method it allows.
+    /// A known path under another method answers 405, and a non-numeric job
+    /// id or an unknown path 404; all three count under `other`, so the
+    /// label set stays bounded whatever clients send. A bad trace id is its
+    /// handler's 404 and keeps its route's label.
+    fn route(&mut self, token: u64, request: &Request) -> (Endpoint, Outcome) {
+        let (state, shared) = (&mut self.state, &self.shared);
+        let get = request.method == "GET";
+        let answer = |endpoint, response| (endpoint, Outcome::Respond(response));
+        let routed = match request.path.as_str() {
+            "/v1/jobs" => (request.method == "POST").then(|| {
+                (
+                    Endpoint::PostJobs,
+                    post_job(state, request, || shared.hook(token)),
+                )
+            }),
+            "/v1/metrics" => get.then(|| answer(Endpoint::GetMetrics, get_metrics(state, request))),
+            "/v1/debug/slowest" => {
+                get.then(|| answer(Endpoint::GetDebugSlowest, get_slowest(state)))
+            }
+            "/v1/debug/traces" => {
+                get.then(|| answer(Endpoint::GetDebugTraces, get_traces(state, request)))
+            }
+            "/v1/debug/logs" => {
+                get.then(|| answer(Endpoint::GetDebugLogs, get_logs(state, request)))
+            }
+            "/healthz" => {
+                get.then(|| answer(Endpoint::GetHealthz, get_health(state, shared.draining())))
+            }
+            path if let Some(raw) = path.strip_prefix("/v1/debug/traces/") => {
+                get.then(|| answer(Endpoint::GetDebugTraces, get_trace(state, raw)))
+            }
+            path if let Some(raw) = path.strip_prefix("/v1/jobs/") => {
+                match (request.method.as_str(), raw.parse::<u64>()) {
+                    ("GET", Ok(id)) => Some(answer(Endpoint::GetJob, get_job(state, id))),
+                    ("DELETE", Ok(id)) => Some(answer(Endpoint::DeleteJob, delete_job(state, id))),
+                    ("GET" | "DELETE", Err(_)) => Some(answer(
+                        Endpoint::Other,
+                        not_found(format!("not a job id: {raw:?}")),
+                    )),
+                    _ => None,
                 }
             }
-        } else {
-            let response = route(&self.state, &request);
-            let nanos = started.elapsed().as_nanos() as u64;
-            self.state.metrics.observe(endpoint, response.status, nanos);
-            self.queue_response(conn, response, keep_alive);
-        }
+            path => Some(answer(
+                Endpoint::Other,
+                not_found(format!("no route for {path}")),
+            )),
+        };
+        routed.unwrap_or_else(|| {
+            let detail = format!("{} is not supported on {}", request.method, request.path);
+            answer(
+                Endpoint::Other,
+                error_response(405, ErrorBody::new("method_not_allowed", detail)),
+            )
+        })
     }
 
     /// Renders a response into the write buffer and optimistically flushes.
@@ -1143,29 +1233,6 @@ impl Reactor {
     }
 }
 
-/// Classifies a request for the `endpoint` metric label, mirroring the
-/// [`route`] table. Requests no route will claim (404s, wrong methods,
-/// unparseable job ids) fold into `other` so the label set stays bounded
-/// whatever clients throw at the socket.
-fn endpoint_of(request: &Request) -> Endpoint {
-    let job_path = |path: &str| {
-        path.strip_prefix("/v1/jobs/")
-            .is_some_and(|id| id.parse::<u64>().is_ok())
-    };
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/v1/jobs") => Endpoint::PostJobs,
-        ("GET", "/v1/metrics") => Endpoint::GetMetrics,
-        ("GET", "/healthz") => Endpoint::GetHealthz,
-        ("GET", "/v1/debug/slowest") => Endpoint::GetDebugSlowest,
-        ("GET", "/v1/debug/traces") => Endpoint::GetDebugTraces,
-        ("GET", path) if path.starts_with("/v1/debug/traces/") => Endpoint::GetDebugTraces,
-        ("GET", "/v1/debug/logs") => Endpoint::GetDebugLogs,
-        ("GET", path) if job_path(path) => Endpoint::GetJob,
-        ("DELETE", path) if job_path(path) => Endpoint::DeleteJob,
-        _ => Endpoint::Other,
-    }
-}
-
 fn request_error_body(error: &RequestError) -> ErrorBody {
     let code = match error {
         RequestError::Malformed(_) => "bad_request",
@@ -1190,71 +1257,8 @@ fn error_response(status: u16, body: ErrorBody) -> Response {
     json_response(status, &body)
 }
 
-/// Dispatches one parsed request to its handler. Known paths with the
-/// wrong method answer 405; unknown paths (including unparseable job ids)
-/// answer 404. `POST /v1/jobs` is routed by the reactor itself (it may
-/// dispatch instead of respond) and never reaches this table.
-fn route(state: &GatewayState, request: &Request) -> Response {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/v1/metrics") => get_metrics(state, request),
-        ("GET", "/v1/debug/slowest") => get_slowest(state),
-        ("GET", "/v1/debug/traces") => get_traces(state, request),
-        ("GET", path) if path.starts_with("/v1/debug/traces/") => {
-            get_trace(state, &path["/v1/debug/traces/".len()..])
-        }
-        ("GET", "/v1/debug/logs") => get_logs(state, request),
-        ("GET", "/healthz") => get_health(state),
-        ("GET", path) if path.starts_with("/v1/jobs/") => {
-            match path["/v1/jobs/".len()..].parse::<u64>() {
-                Ok(id) => get_job(state, id),
-                Err(_) => error_response(
-                    404,
-                    ErrorBody::new(
-                        "not_found",
-                        format!("not a job id: {:?}", &path["/v1/jobs/".len()..]),
-                    ),
-                ),
-            }
-        }
-        ("DELETE", path) if path.starts_with("/v1/jobs/") => {
-            match path["/v1/jobs/".len()..].parse::<u64>() {
-                Ok(id) => delete_job(state, id),
-                Err(_) => error_response(
-                    404,
-                    ErrorBody::new(
-                        "not_found",
-                        format!("not a job id: {:?}", &path["/v1/jobs/".len()..]),
-                    ),
-                ),
-            }
-        }
-        (_, path)
-            if path == "/v1/jobs"
-                || path == "/v1/metrics"
-                || path == "/v1/debug/slowest"
-                || path == "/v1/debug/traces"
-                || path == "/v1/debug/logs"
-                || path.starts_with("/v1/debug/traces/")
-                || path == "/healthz"
-                || path.starts_with("/v1/jobs/") =>
-        {
-            error_response(
-                405,
-                ErrorBody::new(
-                    "method_not_allowed",
-                    format!("{} is not supported on {}", request.method, request.path),
-                ),
-            )
-        }
-        _ => not_found(request),
-    }
-}
-
-fn not_found(request: &Request) -> Response {
-    error_response(
-        404,
-        ErrorBody::new("not_found", format!("no route for {}", request.path)),
-    )
+fn not_found(detail: String) -> Response {
+    error_response(404, ErrorBody::new("not_found", detail))
 }
 
 /// Maps a submission failure to its response. Per-tenant admission is the
@@ -1297,10 +1301,10 @@ fn serve_error_response(error: &ServeError) -> Response {
     }
 }
 
-/// How a `POST /v1/jobs` resolves: an immediate response (a `?wait=1` cache
-/// hit included), or a queued `?wait=1` job whose completion hook will wake
-/// the reactor.
-enum PostOutcome {
+/// How a request resolves: an immediate response (a `?wait=1` cache hit
+/// included), or a queued `?wait=1` job whose completion hook will wake the
+/// reactor.
+enum Outcome {
     Respond(Response),
     Dispatched {
         handle: JobHandle,
@@ -1411,11 +1415,7 @@ fn gateway_span(trace: &Option<ActiveTrace>, name: &'static str, start_ns: Optio
 
 /// Finishes a gateway-answered submit: 4xx/5xx marks the trace errored (so
 /// the tail sampler keeps it), and every response echoes `traceparent`.
-fn finish_post(
-    trace: &Option<ActiveTrace>,
-    echo: &Option<String>,
-    response: Response,
-) -> PostOutcome {
+fn finish_post(trace: &Option<ActiveTrace>, echo: &Option<String>, response: Response) -> Outcome {
     if response.status >= 400 {
         if let Some(active) = trace {
             active.mark_error();
@@ -1425,14 +1425,14 @@ fn finish_post(
         Some(value) => response.with_header("traceparent", value.clone()),
         None => response,
     };
-    PostOutcome::Respond(response)
+    Outcome::Respond(response)
 }
 
 fn post_job(
-    state: &GatewayState,
+    state: &mut GatewayState,
     request: &Request,
     notify: impl FnOnce() -> crowdtune_serve::CompletionNotify,
-) -> PostOutcome {
+) -> Outcome {
     // Trace context first: a valid `traceparent` joins the caller's trace;
     // an invalid one is counted and ignored (fresh ids, per W3C guidance).
     let context = request.header("traceparent").and_then(|header| {
@@ -1511,10 +1511,10 @@ fn post_job(
     if let Some(active) = &trace {
         active.annotate(&wire.tenant, "", "");
     }
-    if let Some(quota) = &state.config.quota {
+    if let Some(quotas) = &mut state.quotas {
         if !wire.tenant.is_empty() {
             let quota_start = trace.as_ref().map(|active| active.now_ns());
-            if let Err(retry_after) = try_take_token(state, &wire.tenant, quota) {
+            if let Err(retry_after) = quotas.try_take(&wire.tenant, Instant::now()) {
                 state.metrics.quota_rejects.inc();
                 gateway_span(&trace, "gateway.quota", quota_start, false);
                 state.service.logger().log_with(
@@ -1585,11 +1585,7 @@ fn post_job(
         );
     }
     if !wait {
-        state
-            .jobs
-            .lock()
-            .expect("gateway job registry poisoned")
-            .store_pending(job_id, handle);
+        state.jobs.store_pending(job_id, handle);
         let body = SubmittedBody {
             job_id,
             status: "pending".to_owned(),
@@ -1601,7 +1597,7 @@ fn post_job(
         // fires, so the connection must not park.
         return finish_post(&trace, &echo, settle(state, handle));
     }
-    PostOutcome::Dispatched {
+    Outcome::Dispatched {
         handle,
         traceparent: echo,
     }
@@ -1610,15 +1606,11 @@ fn post_job(
 /// Answers a finished `?wait=1` submit: the outcome is retained for
 /// `GET /v1/jobs/{id}` and rendered `200`, or mapped to its error status. A
 /// handle with nothing to deliver reads as `WorkerGone`.
-fn settle(state: &GatewayState, handle: JobHandle) -> Response {
+fn settle(state: &mut GatewayState, handle: JobHandle) -> Response {
     let job_id = handle.job_id;
     let outcome = handle.try_result().unwrap_or(Err(ServeError::WorkerGone));
     let error = outcome.as_ref().err().map(serve_error_response);
-    let body = state
-        .jobs
-        .lock()
-        .expect("gateway job registry poisoned")
-        .store_done(job_id, outcome_body(job_id, outcome));
+    let body = state.jobs.store_done(job_id, outcome_body(job_id, outcome));
     error.unwrap_or_else(|| json_response(200, &*body))
 }
 
@@ -1642,24 +1634,16 @@ fn outcome_body(job_id: u64, outcome: Result<ServedPlan, ServeError>) -> JobBody
     }
 }
 
-fn get_job(state: &GatewayState, job_id: u64) -> Response {
-    let mut jobs = state.jobs.lock().expect("gateway job registry poisoned");
+fn get_job(state: &mut GatewayState, job_id: u64) -> Response {
+    let jobs = &mut state.jobs;
     jobs.expire_stale(Instant::now());
     match jobs.slots.get(&job_id) {
-        None => error_response(
-            404,
-            ErrorBody::new("not_found", format!("no such job: {job_id}")),
-        ),
-        Some(JobSlot::Done { body, .. }) => {
-            let body = body.clone();
-            drop(jobs);
-            json_response(200, &*body)
-        }
+        None => not_found(format!("no such job: {job_id}")),
+        Some(JobSlot::Done { body, .. }) => json_response(200, &**body),
         Some(JobSlot::Pending(handle)) => match handle.try_result() {
             None => json_response(200, &JobBody::pending(job_id)),
             Some(outcome) => {
                 let body = jobs.store_done(job_id, outcome_body(job_id, outcome));
-                drop(jobs);
                 json_response(200, &*body)
             }
         },
@@ -1670,20 +1654,12 @@ fn get_job(state: &GatewayState, job_id: u64) -> Response {
 /// — `204` the time it existed, `404` ever after. Lets fire-and-forget
 /// clients release results deterministically instead of leaning on the
 /// bounded-FIFO reaping order.
-fn delete_job(state: &GatewayState, job_id: u64) -> Response {
-    let deleted = state
-        .jobs
-        .lock()
-        .expect("gateway job registry poisoned")
-        .delete(job_id);
-    if deleted {
+fn delete_job(state: &mut GatewayState, job_id: u64) -> Response {
+    if state.jobs.delete(job_id) {
         state.metrics.jobs_deleted.inc();
         Response::json(204, String::new())
     } else {
-        error_response(
-            404,
-            ErrorBody::new("not_found", format!("no such job: {job_id}")),
-        )
+        not_found(format!("no such job: {job_id}"))
     }
 }
 
@@ -1771,10 +1747,7 @@ fn get_traces(state: &GatewayState, request: &Request) -> Response {
 /// trace was never sampled (or has since been evicted from the ring).
 fn get_trace(state: &GatewayState, raw_id: &str) -> Response {
     let Some(trace_id) = TraceId::from_hex(raw_id) else {
-        return error_response(
-            404,
-            ErrorBody::new("not_found", format!("not a trace id: {raw_id:?}")),
-        );
+        return not_found(format!("not a trace id: {raw_id:?}"));
     };
     let stored = state
         .service
@@ -1782,13 +1755,7 @@ fn get_trace(state: &GatewayState, raw_id: &str) -> Response {
         .and_then(|tracer| tracer.store().get(trace_id));
     match stored {
         Some(trace) => json_response(200, &TraceTreeBody::from_stored(&trace)),
-        None => error_response(
-            404,
-            ErrorBody::new(
-                "not_found",
-                format!("trace {raw_id} is not in the sampled ring"),
-            ),
-        ),
+        None => not_found(format!("trace {raw_id} is not in the sampled ring")),
     }
 }
 
@@ -1841,8 +1808,8 @@ fn get_logs(state: &GatewayState, request: &Request) -> Response {
 /// — load balancers should keep routing to it), `draining` answers 503 so
 /// probes take the instance out of rotation. The gateway's own drain (its
 /// listener is closing) outranks whatever the service reports.
-fn get_health(state: &GatewayState) -> Response {
-    let draining = state.draining.load(Ordering::Acquire) || state.service.is_draining();
+fn get_health(state: &GatewayState, draining: bool) -> Response {
+    let draining = draining || state.service.is_draining();
     let health = if draining {
         HealthState::Draining
     } else {
@@ -1869,6 +1836,8 @@ fn get_health(state: &GatewayState) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     const TOKEN: u64 = 7;
     const REQUEST_DEADLINE: Duration = Duration::from_secs(30);
@@ -1964,5 +1933,67 @@ mod tests {
         assert!(!fire(&mut timers, &mut deadline, start + REQUEST_DEADLINE));
         assert!(timers.heap.is_empty());
         assert_eq!(deadline.queued, None);
+    }
+
+    /// A quota sweep drops only buckets that have refilled to `burst`, and
+    /// those answer as fresh ones do: over a seeded schedule of submits by
+    /// hot, warm and cold tenants at synthetic instants, every allow and
+    /// `Retry-After` equals that of a map that never sweeps. And 100,000
+    /// distinct tenants 1 ms apart at 100/s with a burst of 1 keep the map
+    /// at the floor instead of one bucket per tenant ever seen.
+    #[test]
+    fn quota_sweeps_change_no_decision_and_bound_the_map() {
+        let start = Instant::now();
+        let quota = QuotaConfig {
+            requests_per_sec: 0.7,
+            burst: 2.0,
+        };
+        let mut swept = Quotas::new(quota);
+        let mut reference = Quotas {
+            sweep_at: usize::MAX,
+            ..Quotas::new(quota)
+        };
+        let mut rng = StdRng::seed_from_u64(0x0B0C);
+        let mut now = start;
+        // Allowed, refused with `Retry-After: 1`, refused with a longer one.
+        let mut decisions = [0usize; 3];
+        for _ in 0..200_000 {
+            now += Duration::from_micros(rng.gen_range(0..5_000));
+            let pool = [8u64, 64, 4096][rng.gen_range(0..3usize)];
+            let tenant = format!("{pool}-{}", rng.gen_range(0..pool));
+            let decision = swept.try_take(&tenant, now);
+            assert_eq!(
+                decision,
+                reference.try_take(&tenant, now),
+                "{tenant} at {:?}",
+                now - start
+            );
+            decisions[match decision {
+                Ok(()) => 0,
+                Err(1) => 1,
+                Err(_) => 2,
+            }] += 1;
+        }
+        assert!(decisions.iter().all(|&n| n > 1_000), "{decisions:?}");
+        assert!(
+            swept.buckets.len() * 4 < reference.buckets.len(),
+            "{} buckets swept, {} kept",
+            swept.buckets.len(),
+            reference.buckets.len()
+        );
+
+        let mut swept = Quotas::new(QuotaConfig {
+            requests_per_sec: 100.0,
+            burst: 1.0,
+        });
+        for i in 0..100_000 {
+            let now = start + Duration::from_millis(i);
+            assert_eq!(swept.try_take(&format!("tenant-{i}"), now), Ok(()));
+            assert!(
+                swept.buckets.len() <= QUOTA_SWEEP_FLOOR,
+                "{} buckets after {i} tenants",
+                swept.buckets.len()
+            );
+        }
     }
 }

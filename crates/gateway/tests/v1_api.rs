@@ -1024,3 +1024,177 @@ fn refused_submit_leaves_the_pipelined_job_behind_it_pending() {
     assert!(queued.wait().is_ok());
     gateway.shutdown();
 }
+
+/// Every `crowdtune_gateway_requests_total{endpoint,class}` series of a
+/// scrape, by its label set.
+fn request_series(text: &str) -> HashMap<String, u64> {
+    text.lines()
+        .filter_map(|line| {
+            let labels = line.strip_prefix("crowdtune_gateway_requests_total{")?;
+            let (labels, value) = labels.split_once("} ")?;
+            Some((labels.to_owned(), value.parse().ok()?))
+        })
+        .collect()
+}
+
+/// The route table, pinned row by row over a real socket: every route (one
+/// with a query string), each known path under a wrong method, non-numeric
+/// job ids, a bad trace id and unknown paths. Each row checks the status,
+/// the `error` code (`-` for none) and the one
+/// `crowdtune_gateway_requests_total` series the request moved. `{id}`
+/// stands for a job submitted before the table runs.
+#[test]
+fn route_table_pins_status_error_code_and_endpoint_label() {
+    // method, target, status, `error` code, `endpoint` label
+    const ROWS: [&str; 33] = [
+        "POST /v1/jobs 202 - post_jobs",
+        "POST /v1/jobs?wait=1 200 - post_jobs",
+        "GET /v1/jobs/{id} 200 - get_job",
+        "GET /v1/metrics 200 - get_metrics",
+        "GET /healthz 200 - get_healthz",
+        "GET /v1/debug/slowest 200 - get_debug_slowest",
+        "GET /v1/debug/traces 200 - get_debug_traces",
+        "GET /v1/debug/traces/4bf92f3577b34da6a3ce929d0e0e4736 404 not_found get_debug_traces",
+        "GET /v1/debug/logs 200 - get_debug_logs",
+        "DELETE /v1/jobs/{id} 204 - delete_job",
+        // The deleted job's id still parses: the label is the route's.
+        "GET /v1/jobs/{id} 404 not_found get_job",
+        "DELETE /v1/jobs/{id} 404 not_found delete_job",
+        // Known paths, wrong methods.
+        "GET /v1/jobs 405 method_not_allowed other",
+        "PUT /v1/jobs 405 method_not_allowed other",
+        "POST /v1/jobs/{id} 405 method_not_allowed other",
+        "PUT /v1/jobs/zz 405 method_not_allowed other",
+        "POST /v1/metrics 405 method_not_allowed other",
+        "DELETE /healthz 405 method_not_allowed other",
+        "POST /v1/debug/slowest 405 method_not_allowed other",
+        "POST /v1/debug/traces 405 method_not_allowed other",
+        "DELETE /v1/debug/traces/zz 405 method_not_allowed other",
+        "POST /v1/debug/logs 405 method_not_allowed other",
+        // Non-numeric job ids: 404 under `other`.
+        "GET /v1/jobs/zz 404 not_found other",
+        "DELETE /v1/jobs/zz 404 not_found other",
+        "GET /v1/jobs/ 404 not_found other",
+        "GET /v1/jobs/-1 404 not_found other",
+        // A bad trace id stays under its route's label.
+        "GET /v1/debug/traces/zz 404 not_found get_debug_traces",
+        "GET /v1/debug/traces/ 404 not_found get_debug_traces",
+        // Unknown paths, whatever the method.
+        "GET /nope 404 not_found other",
+        "POST /v1/jobsx 404 not_found other",
+        "GET /v1/metrics/ 404 not_found other",
+        "GET /healthz/x 404 not_found other",
+        "GET /v1/debug 404 not_found other",
+    ];
+    let (_service, gateway) = start_gateway(GatewayConfig::default());
+    let mut client = Client::connect(gateway.local_addr());
+    let body = wire_body("acme", 90);
+    let submitted = client.request("POST", "/v1/jobs?wait=1", Some(&body));
+    assert_eq!(submitted.status, 200, "{}", submitted.body);
+    let job_id = as_u64(field(&submitted.json(), "job_id")).to_string();
+
+    let mut before = request_series(&scrape(&mut client));
+    for row in ROWS {
+        let [method, target, status, error, endpoint] = row.split(' ').collect::<Vec<_>>()[..]
+        else {
+            panic!("malformed row {row:?}")
+        };
+        let status: u16 = status.parse().expect("row status");
+        let target = target.replace("{id}", &job_id);
+        let sent = (method == "POST").then_some(body.as_str());
+        let response = client.request(method, &target, sent);
+        let row = format!("{method} {target}");
+        assert_eq!(response.status, status, "{row}: {}", response.body);
+        // A job body carries `"error": null`; a 204 carries no body.
+        let code = match response.body.is_empty() {
+            true => "-".to_owned(),
+            false => match response.json().field("error") {
+                Ok(Value::Str(code)) => code.clone(),
+                _ => "-".to_owned(),
+            },
+        };
+        assert_eq!(code, error, "{row}: {}", response.body);
+
+        // The scrape that follows sees this request and the previous
+        // scrape, which counts under `get_metrics` once it has answered.
+        let after = request_series(&scrape(&mut client));
+        let mut moved: Vec<(String, u64)> = after
+            .iter()
+            .map(|(labels, &n)| (labels.clone(), n - before.get(labels).copied().unwrap_or(0)))
+            .filter(|&(_, delta)| delta > 0)
+            .collect();
+        moved.sort();
+        let class = format!("{}xx", status / 100);
+        let series = format!("endpoint=\"{endpoint}\",class=\"{class}\"");
+        let scrape_series = "endpoint=\"get_metrics\",class=\"2xx\"".to_owned();
+        let mut expected = vec![(series.clone(), 1), (scrape_series.clone(), 1)];
+        if series == scrape_series {
+            expected = vec![(series, 2)];
+        }
+        expected.sort();
+        assert_eq!(moved, expected, "{row}");
+        before = after;
+    }
+    gateway.shutdown();
+}
+
+/// The connection cap: with `max_connections: 2` and two keep-alive
+/// clients held, a third connection is answered `503 overloaded` with
+/// `Connection: close` and counted as shed; once a held client leaves, a
+/// fresh connection is served again.
+#[test]
+fn connection_cap_sheds_503_and_frees_a_slot_on_close() {
+    let (_service, gateway) = start_gateway(GatewayConfig {
+        max_connections: 2,
+        ..GatewayConfig::default()
+    });
+    let addr = gateway.local_addr();
+    let mut held = [Client::connect(addr), Client::connect(addr)];
+    for client in &mut held {
+        let health = client.request("GET", "/healthz", None);
+        assert_eq!(health.status, 200, "{}", health.body);
+    }
+
+    let mut third = TcpStream::connect(addr).expect("connect third client");
+    third
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut shed = String::new();
+    third.read_to_string(&mut shed).expect("read until close");
+    assert!(shed.starts_with("HTTP/1.1 503 "), "{shed}");
+    assert!(shed.contains("\"error\":\"overloaded\""), "{shed}");
+    assert!(
+        shed.lines()
+            .any(|line| line.eq_ignore_ascii_case("connection: close")),
+        "{shed}"
+    );
+    let [first, mut second] = held;
+    assert_eq!(
+        prom_value(
+            &scrape(&mut second),
+            "crowdtune_gateway_connections_shed_total",
+            ""
+        ),
+        Some(1)
+    );
+
+    // Wait until the gateway has seen the first client leave: only the
+    // scraping client is then open.
+    drop(first);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while prom_value(
+        &scrape(&mut second),
+        "crowdtune_gateway_connections_open",
+        "",
+    ) != Some(1)
+    {
+        assert!(Instant::now() < deadline, "the closed client stayed open");
+        std::thread::yield_now();
+    }
+    let mut fresh = Client::connect(addr);
+    let health = fresh.request("GET", "/healthz", None);
+    assert_eq!(health.status, 200, "{}", health.body);
+    drop(fresh);
+    drop(second);
+    gateway.shutdown();
+}

@@ -133,12 +133,19 @@ pub struct TokenBucket {
 }
 
 impl TokenBucket {
-    /// Refills to `min(tokens + elapsed · rate, burst)` as of `now`, then
-    /// spends one token, or returns the deficit: how far the bucket is
-    /// short of one token.
-    pub fn try_take(&mut self, now: Instant, rate: f64, burst: f64) -> Result<(), f64> {
+    /// The tokens the bucket holds at `now`: `min(tokens + elapsed · rate,
+    /// burst)`. Never less at a later `now`, so a bucket that reads `burst`
+    /// reads it until its next take.
+    pub fn available(&self, now: Instant, rate: f64, burst: f64) -> f64 {
         let elapsed = now.duration_since(self.refilled_at).as_secs_f64();
-        self.tokens = (self.tokens + elapsed * rate).min(burst);
+        (self.tokens + elapsed * rate).min(burst)
+    }
+
+    /// Refills to [`TokenBucket::available`] as of `now`, then spends one
+    /// token, or returns the deficit: how far the bucket is short of one
+    /// token.
+    pub fn try_take(&mut self, now: Instant, rate: f64, burst: f64) -> Result<(), f64> {
+        self.tokens = self.available(now, rate, burst);
         self.refilled_at = now;
         if self.tokens >= 1.0 {
             self.tokens -= 1.0;

@@ -1,7 +1,7 @@
 //! Running a tuned campaign against the AMT-like sandbox.
 //!
 //! ```bash
-//! cargo run -p crowdtune-bench --example amt_campaign
+//! cargo run --release --example amt_campaign
 //! ```
 //!
 //! The requester funds an account, creates dot-counting image-filter HITs of

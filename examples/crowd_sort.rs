@@ -1,7 +1,7 @@
 //! Crowd-powered sorting (the paper's Motivation Example 1, scaled up).
 //!
 //! ```bash
-//! cargo run -p crowdtune-bench --example crowd_sort
+//! cargo run --release --example crowd_sort
 //! ```
 //!
 //! Eight photographs must be ranked by visual appeal. The crowd-DB planner

@@ -4,7 +4,7 @@
 //! under one shared budget.
 //!
 //! ```bash
-//! cargo run -p crowdtune-bench --example mixed_queries
+//! cargo run --release --example mixed_queries
 //! ```
 
 use crowdtune_core::prelude::*;

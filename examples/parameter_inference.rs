@@ -2,7 +2,7 @@
 //! (Section 3.3 of the paper end to end).
 //!
 //! ```bash
-//! cargo run -p crowdtune-bench --example parameter_inference
+//! cargo run --release --example parameter_inference
 //! ```
 //!
 //! A probe campaign publishes trivially-fast tasks at several prices on the

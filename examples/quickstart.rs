@@ -1,7 +1,7 @@
 //! Quickstart: tune the budget of a crowdsourcing job and inspect the plan.
 //!
 //! ```bash
-//! cargo run -p crowdtune-bench --example quickstart
+//! cargo run --release --example quickstart
 //! ```
 //!
 //! A requester has 30 pairwise-vote tasks that each need 5 independent
