@@ -57,10 +57,11 @@
 //! an in-memory archive of compact records, so an evicted (or restart-lost)
 //! family is **rehydrated** from its snapshot on the next miss instead of
 //! paying a cold solve: [`DpTable::from_snapshot`] rebuilds the exact table
-//! and every answer stays bit-identical. A planned shutdown re-records every
-//! resident family the same way ([`PlanFamilies::flush_resident`]), whether
-//! or not its archive entry is still there. Without persistence, eviction
-//! simply drops the family and the next job re-seeds it.
+//! and every answer stays bit-identical. If the write path lost a record, a
+//! planned shutdown re-records every resident family the same way
+//! ([`PlanFamilies::flush_resident`]), whether or not its archive entry is
+//! still there. Without persistence, eviction simply drops the family and
+//! the next job re-seeds it.
 //!
 //! LRU trades the old policy's churn-immunity for bounded *and recoverable*
 //! memory: a tenant streaming distinct rate curves can still displace other
@@ -71,7 +72,7 @@
 //! most-extended tables) is the tracked ROADMAP follow-up.
 
 use crate::fingerprint::FamilyFingerprint;
-use crate::store::{FamilyRecord, LoadedFamily, PlanStore};
+use crate::store::{FamilyRecord, LoadedFamily, PlanStore, WhenFull};
 use crowdtune_core::algorithms::{DpTable, RepetitionAlgorithm};
 use crowdtune_core::error::Result;
 use crowdtune_core::problem::{HTuningProblem, TuningStrategy};
@@ -204,18 +205,16 @@ impl FamilyPersistence {
     /// archive keeps whichever snapshot covers the larger budget (the
     /// store's load path independently picks max coverage per fingerprint,
     /// so disk-side ordering never mattered).
-    fn snapshot(&self, (record, rate_model): (FamilyRecord, Arc<dyn RateModel>), blocking: bool) {
+    fn snapshot(
+        &self,
+        (record, rate_model): (FamilyRecord, Arc<dyn RateModel>),
+        when_full: WhenFull,
+    ) {
         // Serialize onto the write-behind queue before taking the archive
         // lock — JSON encoding is the expensive part and must sit under no
         // lock at all. A stale-coverage write is harmless: the load path
-        // picks max coverage per fingerprint. The flush path blocks on a
-        // full queue (it must not shed working-set records); the serve path
-        // never does.
-        if blocking {
-            self.store.record_family_blocking(&record);
-        } else {
-            self.store.record_family(&record);
-        }
+        // picks max coverage per fingerprint.
+        self.store.record_family(&record, when_full);
         let stamp = self.stamp.fetch_add(1, Ordering::Relaxed) + 1;
         let mut archive = self.archive.lock().expect("family archive poisoned");
         if let Some(existing) = archive.get_mut(&record.fingerprint) {
@@ -450,7 +449,7 @@ impl PlanFamilies {
         };
         drop(slot);
         if let (Some(persistence), Some(record)) = (&self.persistence, record) {
-            persistence.snapshot(record, false);
+            persistence.snapshot(record, WhenFull::DropOldest);
         }
         Ok((Some(read), lock_wait_ns))
     }
@@ -523,9 +522,10 @@ impl PlanFamilies {
         }
     }
 
-    /// Snapshots every resident family into the store (catch-up for records
-    /// the bounded write-behind queue may have dropped under load). Called
-    /// by planned shutdowns; a no-op without persistence.
+    /// Snapshots every resident family into the store, waiting for room on
+    /// a full queue: the catch-up a planned shutdown runs once the write
+    /// path has lost a record (a drop-oldest shed or a failed write). A
+    /// no-op without persistence.
     pub fn flush_resident(&self) {
         let Some(persistence) = &self.persistence else {
             return;
@@ -544,7 +544,7 @@ impl PlanFamilies {
                 let record = state.as_ref().and_then(|state| state.record(key));
                 drop(state); // The encoding below runs with no lock held.
                 if let Some(record) = record {
-                    persistence.snapshot(record, true);
+                    persistence.snapshot(record, WhenFull::Wait);
                 }
             }
         }

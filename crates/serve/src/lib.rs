@@ -104,6 +104,7 @@ pub use service::{
     REPLAY_ATTEMPT_LIMIT,
 };
 pub use store::{
-    FamilyRecord, FsyncPolicy, JournalRecord, LoadReport, PlanRecord, PlanStore, Sleeper,
-    StoreError, StoreOptions, StoreSnapshot, StoreStats, ThreadSleeper, WriteFault,
+    FamilyRecord, FsyncPolicy, JournalRecord, LoadReport, PlanRecord, PlanStore, RetireHook,
+    Sleeper, StoreError, StoreOptions, StoreSnapshot, StoreStats, ThreadSleeper, WhenFull,
+    WriteFault,
 };

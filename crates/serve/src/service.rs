@@ -18,7 +18,10 @@ use crate::health::{HealthSignals, HealthState};
 use crate::queue::{AdmissionError, AdmissionPolicy, JobQueue};
 use crate::retuner::{RetunePolicy, Retuner};
 use crate::router::{MarketRouter, RoutedPlan};
-use crate::store::{JournalRecord, PlanStore, StoreError, StoreOptions, StoreSnapshot, StoreStats};
+use crate::store::{
+    JournalRecord, PlanStore, RetireHook, StoreError, StoreOptions, StoreSnapshot, StoreStats,
+    WhenFull,
+};
 use crowdtune_core::algorithms::MAX_TABLE_PAYMENT;
 use crowdtune_core::error::CoreError;
 use crowdtune_core::market::MarketId;
@@ -29,8 +32,8 @@ use crowdtune_core::task::TaskSet;
 use crowdtune_core::tuner::{StrategyChoice, TunedPlan, Tuner};
 use crowdtune_market::MarketRegistry;
 use crowdtune_obs::{
-    ActiveTrace, Counter, Gauge, Histogram, JobTrace, LogLevel, Logger, LoggerConfig, Registry,
-    TraceStart, Tracer, TracerConfig,
+    ActiveTrace, AttrValue, Counter, Gauge, Histogram, JobTrace, LogLevel, Logger, LoggerConfig,
+    Registry, SpanStatus, TraceStart, Tracer, TracerConfig,
 };
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -655,10 +658,41 @@ impl Telemetry {
         }
     }
 
-    /// The persist-lag histogram matching the trace's labels, if any.
-    fn persist_hist(&self, trace: &JobTrace) -> Option<&Histogram> {
-        self.market_scenario_source(trace)
-            .map(|(mi, si, pi)| &self.stage.persist_lag[mi][si][pi])
+    /// The retire hook of a job's plan record, run on the store's writer
+    /// thread: a written record's enqueue-to-write lag goes into the
+    /// persist-lag histogram of the job's labels, and a live trace gets a
+    /// `store.persist` span from this hand-off to the retire, errored when
+    /// the write failed. Dropping the trace handle there may complete the
+    /// trace: the span extends it past the response. `None` when there is
+    /// nothing to record (telemetry off).
+    fn persist_hook(&self, trace: &JobTrace, span: Option<&ActiveTrace>) -> Option<RetireHook> {
+        let lag = self
+            .market_scenario_source(trace)
+            .map(|(mi, si, pi)| self.stage.persist_lag[mi][si][pi].clone());
+        let persist = span.map(|active| (active.clone(), active.now_ns()));
+        if lag.is_none() && persist.is_none() {
+            return None;
+        }
+        Some(Box::new(move |written, queued| {
+            if let (true, Some(lag)) = (written, &lag) {
+                lag.record(queued.as_nanos() as u64);
+            }
+            if let Some((trace, start_ns)) = persist {
+                let status = if written {
+                    SpanStatus::Ok
+                } else {
+                    SpanStatus::Error
+                };
+                trace.span_with(
+                    "store.persist",
+                    None,
+                    start_ns,
+                    trace.now_ns(),
+                    status,
+                    vec![("stream", AttrValue::Str("plans".to_owned()))],
+                );
+            }
+        }))
     }
 }
 
@@ -971,7 +1005,7 @@ impl TuningService {
                     ..RecoveryStats::default()
                 };
                 for record in snapshot.plans {
-                    cache.insert(PlanFingerprint(record.fingerprint), Arc::new(record.plan));
+                    cache.insert(PlanFingerprint(record.fingerprint), record.plan);
                 }
                 let families = Arc::new(PlanFamilies::durable(
                     config.family_shards,
@@ -1233,12 +1267,19 @@ impl TuningService {
             // original at every on-grid payment, and the grid covers every
             // payment this job can award (capped at the shared-table bound
             // the solver samples anyway).
-            let rate = request.rate_model.to_spec().or_else(|| {
-                let grid = request.budget.as_units().min(MAX_TABLE_PAYMENT);
-                TabulatedRate::sampled_from(request.rate_model.as_ref(), grid)
-                    .ok()
-                    .and_then(|table| table.to_spec())
-            });
+            // Sampling runs tenant code, so it runs under `catch_unwind`: a
+            // panic leaves the job unjournaled, and it queues and fails on
+            // the worker as on an in-memory service.
+            let rate = catch_unwind(AssertUnwindSafe(|| {
+                request.rate_model.to_spec().or_else(|| {
+                    let grid = request.budget.as_units().min(MAX_TABLE_PAYMENT);
+                    TabulatedRate::sampled_from(request.rate_model.as_ref(), grid)
+                        .ok()
+                        .and_then(|table| table.to_spec())
+                })
+            }))
+            .ok()
+            .flatten();
             match rate {
                 Some(rate) => {
                     store.record_journal(&JournalRecord::Submitted {
@@ -1652,22 +1693,30 @@ impl TuningService {
         self.draining.load(std::sync::atomic::Ordering::Acquire)
     }
 
-    /// Flushes the full working set to the durable store: every resident
-    /// plan and family is re-recorded (catching up anything the bounded
-    /// write-behind queue dropped under load), then the queue is drained.
-    /// After this returns, a `recover` of the same directory warm-starts the
-    /// entire current working set. A no-op without a store.
+    /// Makes the working set durable: drains the write-behind queue and,
+    /// only if the write path has lost a record since the store opened (a
+    /// drop-oldest shed or a failed write), re-records every resident plan
+    /// and family and drains again. Each of them was enqueued when it was
+    /// solved, seeded or extended, or it was loaded from disk, so without a
+    /// loss the drain alone makes it durable. After this returns, a
+    /// `recover` of the same directory warm-starts the entire current
+    /// working set. A no-op without a store.
     pub fn flush_store(&self) {
         let Some(store) = &self.store else {
             return;
         };
-        // Blocking enqueues: a flush has no latency constraint, and letting
-        // the drop-oldest backpressure shed records here would break the
-        // "a clean stop restarts fully warm" guarantee whenever the working
-        // set outruns the writer (the default cache capacity alone equals
-        // the default queue capacity).
-        self.cache
-            .for_each_entry(|key, plan| store.record_plan_blocking(key.0, plan));
+        store.flush();
+        let stats = store.stats();
+        if stats.dropped == 0 && stats.write_errors == 0 {
+            return;
+        }
+        // The re-record waits for room: a flush has no latency constraint,
+        // and shedding here would break "a clean stop restarts fully warm"
+        // whenever the working set outruns the writer (the default cache
+        // capacity alone equals the default queue capacity).
+        self.cache.for_each_entry(|key, plan| {
+            store.record_plan(key.0, plan, WhenFull::Wait, None);
+        });
         self.families.flush_resident();
         store.flush();
     }
@@ -1685,8 +1734,8 @@ impl TuningService {
     }
 
     /// Drains the queue and stops the workers; with a store attached, the
-    /// working set is flushed first so the next [`TuningService::recover`]
-    /// starts fully warm.
+    /// working set is then made durable ([`TuningService::flush_store`]) so
+    /// the next [`TuningService::recover`] starts fully warm.
     pub fn shutdown(mut self) {
         self.stop_workers();
         self.flush_store();
@@ -1818,21 +1867,8 @@ fn worker_loop(ctx: &WorkerContext) {
             // journal for nothing.
             if let Ok((plan, source, fingerprint)) = &outcome {
                 if *source != PlanSource::CacheHit {
-                    // With telemetry on, the record carries the per-label
-                    // persist-lag probe (the writer thread stamps the
-                    // enqueue-to-durable-write interval into it) and, with
-                    // tracing on, a clone of the job's trace handle — the
-                    // writer records the `store.persist` span at retire,
-                    // extending the trace past the response.
-                    let lag_into = telemetry.persist_hist(&trace);
-                    let persist_span = span
-                        .as_ref()
-                        .map(|active| (active.clone(), active.now_ns()));
-                    if lag_into.is_none() && persist_span.is_none() {
-                        store.record_plan(fingerprint.0, plan);
-                    } else {
-                        store.record_plan_observed(fingerprint.0, plan, lag_into, persist_span);
-                    }
+                    let on_retire = telemetry.persist_hook(&trace, span.as_ref());
+                    store.record_plan(fingerprint.0, plan, WhenFull::DropOldest, on_retire);
                 }
             }
             if journaled {
@@ -1865,7 +1901,7 @@ fn worker_loop(ctx: &WorkerContext) {
             telemetry.finish_job(trace, span.as_ref());
         }
         // Dropping `span` here may complete the trace (unless the store
-        // writer still holds the persist-probe clone).
+        // writer still holds the persist hook's clone).
         drop(span);
         if fatal {
             return;

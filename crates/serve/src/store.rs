@@ -15,13 +15,19 @@
 //!
 //! ## Write-behind semantics
 //!
-//! Recording is fire-and-forget: producers enqueue records onto a bounded
-//! in-memory queue and a single background writer thread appends them to
-//! disk. Under overload the queue drops its **oldest** pending record
-//! (counted in [`StoreStats::dropped`]) rather than stalling the serve path
-//! — losing a persistence record only costs a cold solve after the next
-//! restart, never a wrong plan. [`PlanStore::flush`] drains the queue for
-//! planned shutdowns and tests.
+//! Recording is fire-and-forget: the producer calls
+//! ([`PlanStore::record_plan`], [`PlanStore::record_family`],
+//! [`PlanStore::record_journal`]) serialize their record and enqueue it onto
+//! one bounded in-memory queue, and a single background writer thread
+//! appends the records to disk in order. On a full queue a serve-path record
+//! ([`WhenFull::DropOldest`]) evicts the **oldest** pending record (counted
+//! in [`StoreStats::dropped`]) rather than stalling the serve path — losing
+//! a persistence record only costs a cold solve after the next restart,
+//! never a wrong plan — while a flush-path record ([`WhenFull::Wait`]) waits
+//! for room. A plan record may carry a [`RetireHook`], which the writer calls
+//! once the record is written or has exhausted its retries: the service
+//! times its write-behind lag and traces the persist stage through it.
+//! [`PlanStore::flush`] drains the queue for planned shutdowns and tests.
 //!
 //! ## On-disk format and corruption handling
 //!
@@ -62,7 +68,7 @@ use crowdtune_core::market::MarketId;
 use crowdtune_core::rate::{RateModel, RateSpec};
 use crowdtune_core::task::TaskSet;
 use crowdtune_core::tuner::{StrategyChoice, TunedPlan};
-use crowdtune_obs::{ActiveTrace, AttrValue, Counter, Histogram, Registry, SpanStatus};
+use crowdtune_obs::{Counter, Registry};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -93,19 +99,9 @@ pub struct PlanRecord {
     pub estimator: u32,
     /// The served plan, bit-exact through the JSON round trip (integer
     /// payments verbatim; finite `f64`s via shortest-round-trip decimals).
-    pub plan: TunedPlan,
-}
-
-impl PlanRecord {
-    /// The record of `plan` under `fingerprint`, stamped with this binary's
-    /// estimator version.
-    fn current(fingerprint: u64, plan: &TunedPlan) -> PlanRecord {
-        PlanRecord {
-            fingerprint,
-            estimator: ESTIMATOR_VERSION,
-            plan: plan.clone(),
-        }
-    }
+    /// The cache's own `Arc`: recording a plan copies none, and an `Arc`
+    /// encodes as its contents.
+    pub plan: Arc<TunedPlan>,
 }
 
 /// A persisted plan family: everything needed to re-serve the family's whole
@@ -526,31 +522,36 @@ impl Stream {
     }
 }
 
-/// A queued write: the target stream and the already-serialized payload.
-/// Serialization happens on the producer side so a record captured now is
-/// immune to later mutation of the live object (a family table that keeps
-/// extending, say).
+/// A queued write: the target stream, the already-serialized payload and
+/// the producer's retire hook, stamped with its enqueue instant.
 struct QueuedRecord {
     stream: Stream,
     payload: String,
-    /// Persistence-lag probe: enqueue instant plus the histogram to record
-    /// the enqueue-to-retire latency into when the writer appends the
-    /// record. `None` for untraced records.
-    lag: Option<(std::time::Instant, Histogram)>,
-    /// Causal-tracing probe: the job's live trace handle plus the span
-    /// start stamp (tracer clock) taken at enqueue. The writer records a
-    /// `store.persist` span at retire and then drops the handle — which may
-    /// be the trace's last, triggering its sampling flush. `None` for
-    /// untraced records.
-    span: Option<(ActiveTrace, u64)>,
+    on_retire: Option<(std::time::Instant, RetireHook)>,
+}
+
+/// Called once on the writer thread when a queued record retires: with
+/// whether it was written (`false` once it has exhausted its retries) and
+/// how long it spent between enqueue and retire. A record shed by
+/// drop-oldest, or queued after close, is dropped without calling its hook.
+/// The hook runs between appends, so it must be cheap.
+pub type RetireHook = Box<dyn FnOnce(bool, std::time::Duration) + Send>;
+
+/// What a producer does when the write-behind queue is full.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WhenFull {
+    /// Evict the oldest queued record (the serve path: persistence lags,
+    /// serving never blocks on the writer).
+    DropOldest,
+    /// Wait for the writer to make room (flush paths, which have no latency
+    /// constraint and must not shed working-set records).
+    Wait,
 }
 
 /// Queue state guarded by the store mutex.
 struct QueueState {
     records: VecDeque<QueuedRecord>,
     closed: bool,
-    enqueued: u64,
-    retired: u64,
 }
 
 struct StoreShared {
@@ -559,10 +560,10 @@ struct StoreShared {
     work_ready: Condvar,
     /// Signals flushers that the writer retired more records.
     drained: Condvar,
-    // Obs-backed counters (registry-renderable). `enqueued`/`retired` mirror
-    // the queue-state fields: the mutexed pair stays the coherent source for
-    // `stats()` (depth = enqueued - retired must never be torn), while the
-    // counters give scrapes the same monotone values without the lock.
+    // Obs-backed counters (registry-renderable). `enqueued_total` and
+    // `retired_total` change only under the queue lock, so `stats()` and
+    // `flush()` read them there: the depth `enqueued - retired` is never
+    // torn, while scrapes read the same monotone cells without the lock.
     enqueued_total: Counter,
     retired_total: Counter,
     dropped: Counter,
@@ -689,8 +690,6 @@ impl PlanStore {
             queue: Mutex::new(QueueState {
                 records: VecDeque::new(),
                 closed: false,
-                enqueued: 0,
-                retired: 0,
             }),
             work_ready: Condvar::new(),
             drained: Condvar::new(),
@@ -729,57 +728,32 @@ impl PlanStore {
         &self.dir
     }
 
-    /// Queues a plan snapshot for the exact-match stream.
-    pub fn record_plan(&self, fingerprint: u64, plan: &TunedPlan) {
-        let record = PlanRecord::current(fingerprint, plan);
-        self.enqueue(Stream::Plans, &record, false);
-    }
-
-    /// The full-observability variant of [`PlanStore::record_plan`], with
-    /// two optional probes. `lag_into` receives the record's
-    /// enqueue-to-retire latency (in nanoseconds) once the background writer
-    /// appends it; this is how the service attributes write-behind lag to
-    /// the job's scenario and plan source. `span` is the job's live
-    /// [`ActiveTrace`] and the `store.persist` span's start stamp: the
-    /// writer thread records the span when the record retires (so the span
-    /// covers queue wait plus the disk write, errored when the write failed)
-    /// and then releases the trace handle, letting the trace's sampling
-    /// flush run.
-    pub fn record_plan_observed(
+    /// Queues a plan snapshot for the exact-match stream, with the
+    /// producer's [`RetireHook`], if any.
+    pub fn record_plan(
         &self,
         fingerprint: u64,
-        plan: &TunedPlan,
-        lag_into: Option<&Histogram>,
-        span: Option<(ActiveTrace, u64)>,
+        plan: &Arc<TunedPlan>,
+        when_full: WhenFull,
+        on_retire: Option<RetireHook>,
     ) {
-        let record = PlanRecord::current(fingerprint, plan);
-        self.enqueue_observed(Stream::Plans, &record, false, lag_into.cloned(), span);
-    }
-
-    /// [`PlanStore::record_plan`], but blocking while the queue is full
-    /// instead of dropping the oldest record. For flush paths, which have no
-    /// latency constraint and must not lose working-set records to
-    /// backpressure.
-    pub fn record_plan_blocking(&self, fingerprint: u64, plan: &TunedPlan) {
-        let record = PlanRecord::current(fingerprint, plan);
-        self.enqueue(Stream::Plans, &record, true);
+        let record = PlanRecord {
+            fingerprint,
+            estimator: ESTIMATOR_VERSION,
+            plan: plan.clone(),
+        };
+        self.enqueue(Stream::Plans, &record, when_full, on_retire);
     }
 
     /// Queues a family snapshot. Callers re-record a family whenever its
     /// table grows; on load the record with the largest coverage wins.
-    pub fn record_family(&self, record: &FamilyRecord) {
-        self.enqueue(Stream::Families, record, false);
-    }
-
-    /// [`PlanStore::record_family`] with full-queue blocking (see
-    /// [`PlanStore::record_plan_blocking`]).
-    pub fn record_family_blocking(&self, record: &FamilyRecord) {
-        self.enqueue(Stream::Families, record, true);
+    pub fn record_family(&self, record: &FamilyRecord, when_full: WhenFull) {
+        self.enqueue(Stream::Families, record, when_full, None);
     }
 
     /// Queues a journal entry.
     pub fn record_journal(&self, record: &JournalRecord) {
-        self.enqueue(Stream::Journal, record, false);
+        self.enqueue(Stream::Journal, record, WhenFull::DropOldest, None);
     }
 
     /// Blocks until every record enqueued before this call has been retired
@@ -788,8 +762,8 @@ impl PlanStore {
     /// already retired.
     pub fn flush(&self) {
         let mut queue = self.shared.queue.lock().expect("store queue poisoned");
-        let target = queue.enqueued;
-        while queue.retired < target && !queue.closed {
+        let target = self.shared.enqueued_total.get();
+        while self.shared.retired_total.get() < target && !queue.closed {
             queue = self
                 .shared
                 .drained
@@ -801,8 +775,11 @@ impl PlanStore {
     /// Current write-behind counters.
     pub fn stats(&self) -> StoreStats {
         let (enqueued, retired) = {
-            let queue = self.shared.queue.lock().expect("store queue poisoned");
-            (queue.enqueued, queue.retired)
+            let _queue = self.shared.queue.lock().expect("store queue poisoned");
+            (
+                self.shared.enqueued_total.get(),
+                self.shared.retired_total.get(),
+            )
         };
         StoreStats {
             enqueued,
@@ -874,22 +851,15 @@ impl PlanStore {
         );
     }
 
-    fn enqueue<T: Serialize>(&self, stream: Stream, record: &T, block_when_full: bool) {
-        self.enqueue_observed(stream, record, block_when_full, None, None);
-    }
-
-    /// [`PlanStore::enqueue`] with optional observability probes: when
-    /// `lag_into` is given, the enqueue-to-retire latency of this record is
-    /// recorded into that histogram by the writer thread; when `span` is
-    /// given, the writer records a `store.persist` span into the carried
-    /// trace at retire.
-    fn enqueue_observed<T: Serialize>(
+    /// The one way into the queue: serializes `record` on the caller's
+    /// thread, so a record captured now is immune to later mutation of the
+    /// live object, then queues it for `stream` (see [`WhenFull`]).
+    fn enqueue<T: Serialize>(
         &self,
         stream: Stream,
         record: &T,
-        block_when_full: bool,
-        lag_into: Option<Histogram>,
-        span: Option<(ActiveTrace, u64)>,
+        when_full: WhenFull,
+        on_retire: Option<RetireHook>,
     ) {
         let payload = match serde_json::to_string(record) {
             Ok(payload) => payload,
@@ -902,12 +872,7 @@ impl PlanStore {
             }
         };
         let mut queue = self.shared.queue.lock().expect("store queue poisoned");
-        if queue.closed {
-            return;
-        }
-        if block_when_full {
-            // Flush path: wait for the writer instead of shedding — a
-            // planned shutdown must persist the *full* working set.
+        if when_full == WhenFull::Wait {
             while queue.records.len() >= self.shared.capacity && !queue.closed {
                 queue = self
                     .shared
@@ -915,23 +880,21 @@ impl PlanStore {
                     .wait(queue)
                     .expect("store queue poisoned");
             }
-            if queue.closed {
-                return;
-            }
-        } else if queue.records.len() >= self.shared.capacity {
+        }
+        if queue.closed {
+            return;
+        }
+        if queue.records.len() >= self.shared.capacity {
             // Drop-oldest backpressure: persistence lags, serving does not.
             queue.records.pop_front();
-            queue.retired += 1;
             self.shared.retired_total.inc();
             self.shared.dropped.inc();
         }
         queue.records.push_back(QueuedRecord {
             stream,
             payload,
-            lag: lag_into.map(|hist| (std::time::Instant::now(), hist)),
-            span,
+            on_retire: on_retire.map(|hook| (std::time::Instant::now(), hook)),
         });
-        queue.enqueued += 1;
         self.shared.enqueued_total.inc();
         drop(queue);
         self.shared.work_ready.notify_one();
@@ -1042,9 +1005,9 @@ impl StreamAppender {
 
 /// The background writer: drains the queue in batches, appends each record
 /// to its stream (with retry/backoff/reopen self-healing, see
-/// [`StreamAppender::append`]), then fsyncs per the configured
-/// [`FsyncPolicy`]. On close it drains whatever is left before exiting, so
-/// a graceful drop loses nothing.
+/// [`StreamAppender::append`]) and calls its retire hook, then fsyncs per
+/// the configured [`FsyncPolicy`]. On close it drains whatever is left
+/// before exiting, so a graceful drop loses nothing.
 fn writer_loop(shared: &StoreShared, mut appenders: Vec<StreamAppender>) {
     fn sync_dirty(shared: &StoreShared, appenders: &mut [StreamAppender]) {
         for appender in appenders.iter_mut().filter(|a| a.needs_sync) {
@@ -1110,9 +1073,6 @@ fn writer_loop(shared: &StoreShared, mut appenders: Vec<StreamAppender>) {
             seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let written = appender.append(line.as_bytes(), shared, seed);
             if written {
-                if let Some((enqueued_at, hist)) = &record.lag {
-                    hist.record(enqueued_at.elapsed().as_nanos() as u64);
-                }
                 // Writes succeed again: durability is restored, the health
                 // state flips back on its own.
                 shared.impaired.store(false, Ordering::Release);
@@ -1120,22 +1080,8 @@ fn writer_loop(shared: &StoreShared, mut appenders: Vec<StreamAppender>) {
                 shared.write_errors.inc();
                 shared.impaired.store(true, Ordering::Release);
             }
-            if let Some((trace, start_ns)) = record.span {
-                let status = if written {
-                    SpanStatus::Ok
-                } else {
-                    SpanStatus::Error
-                };
-                trace.span_with(
-                    "store.persist",
-                    None,
-                    start_ns,
-                    trace.now_ns(),
-                    status,
-                    vec![("stream", AttrValue::Str(record.stream.label().to_owned()))],
-                );
-                // Dropping the handle here may be the trace's completion:
-                // the persist span extends the trace past the HTTP response.
+            if let Some((enqueued_at, on_retire)) = record.on_retire {
+                on_retire(written, enqueued_at.elapsed());
             }
         }
         match shared.fsync {
@@ -1148,8 +1094,8 @@ fn writer_loop(shared: &StoreShared, mut appenders: Vec<StreamAppender>) {
                 }
             }
         }
-        let mut queue = shared.queue.lock().expect("store queue poisoned");
-        queue.retired += count;
+        // Under the lock, where `flush` and `stats` read the counters.
+        let queue = shared.queue.lock().expect("store queue poisoned");
         shared.retired_total.add(count);
         drop(queue);
         shared.drained.notify_all();
@@ -1556,8 +1502,8 @@ mod tests {
         dir
     }
 
-    fn plan(tag: u64) -> TunedPlan {
-        TunedPlan {
+    fn plan(tag: u64) -> Arc<TunedPlan> {
+        Arc::new(TunedPlan {
             result: TuningResult::new(
                 "RA",
                 Allocation::uniform(&[2, 3], Payment::units(tag)),
@@ -1566,7 +1512,7 @@ mod tests {
             ),
             expected_latency: tag as f64 * 1.21,
             expected_on_hold_latency: tag as f64 * 0.5,
-        }
+        })
     }
 
     #[test]
@@ -1576,9 +1522,9 @@ mod tests {
             let (store, snapshot) = PlanStore::open(&dir).unwrap();
             assert!(snapshot.report.clean());
             assert!(snapshot.plans.is_empty());
-            store.record_plan(7, &plan(1));
-            store.record_plan(9, &plan(2));
-            store.record_plan(7, &plan(3)); // duplicate key: incumbent wins on load
+            store.record_plan(7, &plan(1), WhenFull::DropOldest, None);
+            store.record_plan(9, &plan(2), WhenFull::DropOldest, None);
+            store.record_plan(7, &plan(3), WhenFull::DropOldest, None); // duplicate key: incumbent wins on load
             store.record_journal(&JournalRecord::Submitted {
                 job_id: 4,
                 tenant: "acme".to_owned(),
@@ -1620,7 +1566,7 @@ mod tests {
         let (_store, snapshot) = PlanStore::open(&dir).unwrap();
         assert!(snapshot.report.clean());
         assert_eq!(snapshot.plans.len(), 2);
-        let by_key: HashMap<u64, &TunedPlan> = snapshot
+        let by_key: HashMap<u64, &Arc<TunedPlan>> = snapshot
             .plans
             .iter()
             .map(|r| (r.fingerprint, &r.plan))
@@ -1655,7 +1601,7 @@ mod tests {
         )
         .unwrap();
         for i in 0..64u64 {
-            store.record_plan(i, &plan(i));
+            store.record_plan(i, &plan(i), WhenFull::DropOldest, None);
         }
         store.flush();
         let stats = store.stats();
@@ -1750,8 +1696,8 @@ mod tests {
                 },
             )
             .unwrap();
-            store.record_plan(1, &plan(1));
-            store.record_plan(2, &plan(2));
+            store.record_plan(1, &plan(1), WhenFull::DropOldest, None);
+            store.record_plan(2, &plan(2), WhenFull::DropOldest, None);
             store.flush();
             let stats = store.stats();
             assert!(stats.fsyncs >= 1, "per-batch policy must fsync: {stats:?}");
@@ -1769,13 +1715,13 @@ mod tests {
             )
             .unwrap();
             assert_eq!(snapshot.plans.len(), 2);
-            store.record_plan(3, &plan(3));
+            store.record_plan(3, &plan(3), WhenFull::DropOldest, None);
             store.flush();
             assert!(store.stats().fsyncs >= 1);
         }
         let (store, snapshot) = PlanStore::open(&dir).unwrap();
         assert_eq!(snapshot.plans.len(), 3, "all policies persist identically");
-        store.record_plan(4, &plan(4));
+        store.record_plan(4, &plan(4), WhenFull::DropOldest, None);
         store.flush();
         assert_eq!(store.stats().fsyncs, 0, "default policy never fsyncs");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1796,7 +1742,7 @@ mod tests {
             },
         )
         .unwrap();
-        store.record_plan(1, &plan(1));
+        store.record_plan(1, &plan(1), WhenFull::DropOldest, None);
         store.flush();
         // No more records arrive. The dirty stream must be synced within
         // the interval (generous deadline for slow CI).
@@ -1826,7 +1772,7 @@ mod tests {
             },
         )
         .unwrap();
-        store.record_plan(1, &plan(1));
+        store.record_plan(1, &plan(1), WhenFull::DropOldest, None);
         store.flush();
         drop(store);
         let (store, snapshot) = PlanStore::open(&dir).unwrap();
@@ -1964,7 +1910,7 @@ mod tests {
         {
             let (store, _) = PlanStore::open(&dir).unwrap();
             for i in 0..4u64 {
-                store.record_plan(i, &plan(i));
+                store.record_plan(i, &plan(i), WhenFull::DropOldest, None);
             }
             store.flush();
         }
@@ -1976,7 +1922,7 @@ mod tests {
         assert_eq!(snapshot.report.corrupt_tails, 1);
         assert_eq!(snapshot.plans.len(), 3, "good prefix survives");
         // Appending after recovery lands cleanly after the truncated point.
-        store.record_plan(99, &plan(99));
+        store.record_plan(99, &plan(99), WhenFull::DropOldest, None);
         store.flush();
         drop(store);
         let (_store, snapshot) = PlanStore::open(&dir).unwrap();
@@ -1991,7 +1937,7 @@ mod tests {
         {
             let (store, _) = PlanStore::open(&dir).unwrap();
             for i in 0..5u64 {
-                store.record_plan(i, &plan(i));
+                store.record_plan(i, &plan(i), WhenFull::DropOldest, None);
             }
             store.flush();
         }
@@ -2027,7 +1973,7 @@ mod tests {
         let dir = scratch_dir("version");
         {
             let (store, _) = PlanStore::open(&dir).unwrap();
-            store.record_plan(1, &plan(1));
+            store.record_plan(1, &plan(1), WhenFull::DropOldest, None);
             store.flush();
         }
         let path = dir.join("plans.log");
@@ -2043,7 +1989,7 @@ mod tests {
         let parked = std::fs::read_to_string(dir.join("plans.log.unreadable")).unwrap();
         assert!(parked.starts_with("crowdtune-store v2"));
         // The stream restarts under the current header and works again.
-        store.record_plan(2, &plan(2));
+        store.record_plan(2, &plan(2), WhenFull::DropOldest, None);
         store.flush();
         drop(store);
         let (_store, snapshot) = PlanStore::open(&dir).unwrap();
@@ -2063,7 +2009,7 @@ mod tests {
         {
             let (store, _) = PlanStore::open(&dir).unwrap();
             for i in 0..3u64 {
-                store.record_plan(i, &plan(i));
+                store.record_plan(i, &plan(i), WhenFull::DropOldest, None);
             }
             store.flush();
         }
@@ -2078,7 +2024,7 @@ mod tests {
         assert_eq!(snapshot.plans.len(), 2);
         // Appends land on a clean prefix: the next recovery sees every
         // surviving record plus the new one, with no merged-line damage.
-        store.record_plan(9, &plan(9));
+        store.record_plan(9, &plan(9), WhenFull::DropOldest, None);
         store.flush();
         drop(store);
         let (_store, snapshot) = PlanStore::open(&dir).unwrap();
@@ -2177,7 +2123,7 @@ mod tests {
         {
             let (store, _) = PlanStore::open_with(&dir, faulted_options(&fault, &sleeper)).unwrap();
             fault.arm(2); // REOPEN_AFTER = 2, MAX_RETRIES = 4
-            store.record_plan(1, &plan(1));
+            store.record_plan(1, &plan(1), WhenFull::DropOldest, None);
             store.flush();
             let stats = store.stats();
             assert_eq!(stats.retries, 2, "{stats:?}");
@@ -2210,14 +2156,14 @@ mod tests {
         {
             let (store, _) = PlanStore::open_with(&dir, faulted_options(&fault, &sleeper)).unwrap();
             fault.arm(u32::MAX); // persistent outage
-            store.record_plan(1, &plan(1));
+            store.record_plan(1, &plan(1), WhenFull::DropOldest, None);
             store.flush();
             let stats = store.stats();
             assert_eq!(stats.write_errors, 1, "{stats:?}");
             assert_eq!(stats.retries, 4, "full retry budget spent");
             assert!(store.write_path_impaired(), "outage must impair");
             fault.arm(0); // the disk comes back
-            store.record_plan(2, &plan(2));
+            store.record_plan(2, &plan(2), WhenFull::DropOldest, None);
             store.flush();
             assert!(
                 !store.write_path_impaired(),
@@ -2230,6 +2176,131 @@ mod tests {
         assert_eq!(snapshot.plans.len(), 1, "only the healed record persisted");
         assert_eq!(snapshot.plans[0].fingerprint, 2);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Holds the writer inside every append until the test releases it;
+    /// dropping the release sender lets every later append through.
+    struct GateFault {
+        entered: Mutex<std::sync::mpsc::Sender<()>>,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl WriteFault for GateFault {
+        fn before_write(&self, _stream: &str, _bytes: &[u8]) -> std::io::Result<()> {
+            let _ = self.entered.lock().unwrap().send(());
+            let _ = self.release.lock().unwrap().recv();
+            Ok(())
+        }
+    }
+
+    /// A store whose writer stops inside each append: the first channel
+    /// yields once per append reached, the second lets one through.
+    fn gated_store(
+        dir: &Path,
+        queue_capacity: usize,
+    ) -> (
+        Arc<PlanStore>,
+        std::sync::mpsc::Receiver<()>,
+        std::sync::mpsc::Sender<()>,
+    ) {
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        let fault = GateFault {
+            entered: Mutex::new(entered_tx),
+            release: Mutex::new(release_rx),
+        };
+        let options = StoreOptions {
+            queue_capacity,
+            write_fault: Some(Arc::new(fault)),
+            ..StoreOptions::default()
+        };
+        let (store, _) = PlanStore::open_with(dir, options).unwrap();
+        (store, entered, release)
+    }
+
+    /// Every retire-hook call: the record's fingerprint, whether it was
+    /// written, and its queue time.
+    type RetireLog = Arc<Mutex<Vec<(u64, bool, std::time::Duration)>>>;
+
+    fn logged(log: &RetireLog, fingerprint: u64) -> Option<RetireHook> {
+        let log = log.clone();
+        Some(Box::new(move |written, queued| {
+            log.lock().unwrap().push((fingerprint, written, queued));
+        }))
+    }
+
+    /// The retire-hook contract: a written record calls its hook once, with
+    /// `true` and its queue time; a record that exhausts its retries calls
+    /// it once, with `false`; a record shed by drop-oldest never calls it,
+    /// and the shed drops the hook with whatever it holds.
+    #[test]
+    fn retire_hooks_run_once_per_retired_record_and_never_for_a_shed_one() {
+        let log = RetireLog::default();
+        let held_for = std::time::Duration::from_millis(5);
+        let written_dir = scratch_dir("hook-written");
+        {
+            let (store, entered, release) = gated_store(&written_dir, 16);
+            let started = std::time::Instant::now();
+            store.record_plan(1, &plan(1), WhenFull::DropOldest, logged(&log, 1));
+            entered.recv().unwrap();
+            std::thread::sleep(held_for);
+            release.send(()).unwrap();
+            store.flush();
+            let elapsed = started.elapsed();
+            let calls = log.lock().unwrap().clone();
+            assert_eq!(calls.len(), 1, "{calls:?}");
+            let (fingerprint, written, queued) = calls[0];
+            assert_eq!((fingerprint, written), (1, true));
+            assert!(
+                queued >= held_for && queued <= elapsed,
+                "queue time {queued:?} must cover the held append ({held_for:?}) \
+                 and fit in the call ({elapsed:?})"
+            );
+        }
+
+        let failed_dir = scratch_dir("hook-failed");
+        let fault = Arc::new(FlakyFault::default());
+        let sleeper = Arc::new(RecordingSleeper::default());
+        {
+            let (store, _) =
+                PlanStore::open_with(&failed_dir, faulted_options(&fault, &sleeper)).unwrap();
+            fault.arm(u32::MAX);
+            store.record_plan(2, &plan(2), WhenFull::DropOldest, logged(&log, 2));
+            store.flush();
+            assert_eq!(store.stats().write_errors, 1);
+        }
+
+        let shed_dir = scratch_dir("hook-shed");
+        {
+            let (store, entered, release) = gated_store(&shed_dir, 1);
+            store.record_plan(3, &plan(3), WhenFull::DropOldest, None);
+            // The writer holds record 3 inside its append; the queue is empty.
+            entered.recv().unwrap();
+            let held = Arc::new(());
+            let shed_hook: RetireHook = {
+                let (held, log) = (held.clone(), log.clone());
+                Box::new(move |written, queued| {
+                    drop(held);
+                    log.lock().unwrap().push((4, written, queued));
+                })
+            };
+            store.record_plan(4, &plan(4), WhenFull::DropOldest, Some(shed_hook));
+            store.record_plan(5, &plan(5), WhenFull::DropOldest, logged(&log, 5));
+            assert_eq!(store.stats().dropped, 1, "record 4 is shed for record 5");
+            assert_eq!(Arc::strong_count(&held), 1, "the shed dropped its hook");
+            drop(release);
+            store.flush();
+        }
+        let calls: Vec<(u64, bool)> = log
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|&(fingerprint, written, _)| (fingerprint, written))
+            .collect();
+        assert_eq!(calls, [(1, true), (2, false), (5, true)]);
+        for dir in [written_dir, failed_dir, shed_dir] {
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     /// Version back-compat for the fault-tolerance journal extensions: a

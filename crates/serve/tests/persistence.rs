@@ -11,7 +11,10 @@
 //!   snapshot, version-mismatch header — degrades to cold solves (asserted
 //!   via `ServiceMetrics` counters), never to wrong plans;
 //! * plan records from another estimator version are re-solved, never
-//!   served.
+//!   served;
+//! * a clean stop writes each plan and family record once, and re-records
+//!   the working set only after the write path lost a record;
+//! * a model that panics when sampled for the journal fails its own job.
 
 use crowdtune_core::hash::Fnv1a;
 use crowdtune_core::money::Budget;
@@ -19,12 +22,13 @@ use crowdtune_core::rate::{LinearRate, RateModel, RateSpec, TabulatedRate};
 use crowdtune_core::task::TaskSet;
 use crowdtune_core::tuner::{StrategyChoice, TunedPlan, Tuner};
 use crowdtune_serve::{
-    JobRequest, JournalRecord, MarketId, PlanSource, PlanStore, ServiceConfig, TuningService,
+    JobRequest, JournalRecord, MarketId, PlanSource, PlanStore, ServeError, ServiceConfig, Sleeper,
+    StoreOptions, TuningService, WriteFault,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -606,6 +610,228 @@ fn version_mismatch_header_recovers_cold() {
     let served = service.tune(request).unwrap();
     assert_eq!(served.source, PlanSource::ColdSolve);
     assert_eq!(service.metrics().cold_solves, 1);
+    service.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The record lines of one stream file, its header excluded.
+fn record_lines(dir: &Path, file: &str) -> Vec<String> {
+    let text = std::fs::read_to_string(dir.join(file)).unwrap();
+    text.lines().skip(1).map(str::to_owned).collect()
+}
+
+/// A clean stop adds no record the write path already wrote: after
+/// `shutdown` the store holds one plan record per served plan and one
+/// family record per seed or extension, and the restart answers every job
+/// from the recovered cache without a cold solve.
+#[test]
+fn a_clean_shutdown_leaves_one_record_per_plan_seed_and_extension() {
+    let dir = scratch_dir("once");
+    let mut requests: Vec<JobRequest> = (0..16)
+        .map(|seed| arbitrary_request(&mut StdRng::seed_from_u64(9100 + seed), "once"))
+        .collect();
+    // An RA budget ladder: a seed, an extension, a prefix read, an extension.
+    let mut set = TaskSet::new();
+    let ty = set.add_type("vote", 2.0).unwrap();
+    set.add_tasks(ty, 3, 4).unwrap();
+    set.add_tasks(ty, 5, 4).unwrap();
+    let ladder = JobRequest {
+        tenant: "once".to_owned(),
+        market: MarketId::DEFAULT,
+        task_set: set,
+        budget: Budget::units(120),
+        rate_model: Arc::new(LinearRate::new(1.5, 0.5).unwrap()),
+        strategy: StrategyChoice::Auto,
+    };
+    for budget in [120u64, 300, 90, 420] {
+        requests.push(hot_with_budget(&ladder, budget));
+    }
+    let mut before = Vec::new();
+    {
+        let service = TuningService::recover(service_config(), &dir).unwrap();
+        for request in &requests {
+            before.push((*service.tune(request.clone()).unwrap().plan).clone());
+        }
+        let metrics = service.metrics();
+        let families = service.family_stats();
+        let plans = service.cache_stats().entries;
+        assert_eq!(plans, metrics.cold_solves + metrics.family_hits);
+        assert!(families.extensions >= 2, "{families:?}");
+        service.shutdown();
+        assert_eq!(record_lines(&dir, "plans.log").len() as u64, plans);
+        assert_eq!(
+            record_lines(&dir, "families.log").len() as u64,
+            families.builds + families.extensions,
+            "{families:?}"
+        );
+    }
+    let service = TuningService::recover(service_config(), &dir).unwrap();
+    for (i, (request, expected)) in requests.iter().zip(&before).enumerate() {
+        let served = service.tune(request.clone()).unwrap();
+        assert_eq!(served.source, PlanSource::CacheHit, "job {i}");
+        assert_plans_bit_identical(&served.plan, expected, &format!("job {i}"));
+    }
+    assert_eq!(service.metrics().cold_solves, 0);
+    service.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Fails every append to the plans stream while armed.
+struct PlanOutage(AtomicBool);
+
+impl WriteFault for PlanOutage {
+    fn before_write(&self, stream: &str, _bytes: &[u8]) -> std::io::Result<()> {
+        if stream == "plans" && self.0.load(Ordering::Acquire) {
+            return Err(std::io::Error::other("injected plan outage"));
+        }
+        Ok(())
+    }
+}
+
+/// Backoff without waiting.
+struct NoSleep;
+
+impl Sleeper for NoSleep {
+    fn sleep(&self, _duration: Duration) {}
+}
+
+/// When the write path lost a plan record, the shutdown flush re-records
+/// the working set: the failed plan is written at the stop and the restart
+/// serves it from the recovered cache.
+#[test]
+fn a_shutdown_after_a_failed_plan_write_re_records_the_plan() {
+    let dir = scratch_dir("lost-plan");
+    let request = arbitrary_request(&mut StdRng::seed_from_u64(9200), "lost");
+    let outage = Arc::new(PlanOutage(AtomicBool::new(true)));
+    let served = {
+        let options = StoreOptions {
+            write_fault: Some(outage.clone()),
+            sleeper: Arc::new(NoSleep),
+            ..StoreOptions::default()
+        };
+        let service = TuningService::recover_with(service_config(), &dir, options).unwrap();
+        let served = service.tune(request.clone()).unwrap();
+        assert_eq!(served.source, PlanSource::ColdSolve);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while service.store_stats().unwrap().write_errors == 0 {
+            assert!(Instant::now() < deadline, "the plan write never failed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        outage.0.store(false, Ordering::Release);
+        service.shutdown();
+        served
+    };
+    assert_eq!(record_lines(&dir, "plans.log").len(), 1);
+    let service = TuningService::recover(service_config(), &dir).unwrap();
+    let again = service.tune(request).unwrap();
+    assert_eq!(again.source, PlanSource::CacheHit);
+    assert_plans_bit_identical(&again.plan, &served.plan, "re-recorded plan");
+    assert_eq!(service.metrics().cold_solves, 0);
+    service.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A spec-less model that panics when sampled fails its own job on a
+/// durable service, as on an in-memory one: the submit returns a handle,
+/// the job ends `WorkerPanic`, and the journal holds no record of it.
+#[test]
+fn a_panicking_spec_less_model_fails_its_job_not_the_submitter() {
+    struct Hostile;
+    impl RateModel for Hostile {
+        fn on_hold_rate(&self, _payment_units: f64) -> f64 {
+            panic!("hostile rate model")
+        }
+        fn describe(&self) -> String {
+            "hostile curve".to_owned()
+        }
+    }
+    let dir = scratch_dir("hostile");
+    let mut set = TaskSet::new();
+    let ty = set.add_type("vote", 2.0).unwrap();
+    set.add_tasks(ty, 3, 2).unwrap();
+    let service = TuningService::recover(service_config(), &dir).unwrap();
+    let handle = service
+        .submit(JobRequest {
+            tenant: "acme".to_owned(),
+            market: MarketId::DEFAULT,
+            task_set: set,
+            budget: Budget::units(40),
+            rate_model: Arc::new(Hostile),
+            strategy: StrategyChoice::Auto,
+        })
+        .unwrap();
+    match handle.wait() {
+        Err(ServeError::WorkerPanic { detail }) => {
+            assert!(detail.contains("hostile rate model"), "{detail}");
+        }
+        other => panic!("expected WorkerPanic, got {other:?}"),
+    }
+    assert_eq!(service.metrics().worker_panics, 1);
+    service.shutdown();
+    let journal = record_lines(&dir, "journal.log");
+    assert!(
+        !journal.iter().any(|line| line.contains("Submitted")),
+        "the job must not be journaled: {journal:?}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Holds the writer inside its first append until the release sender is
+/// dropped; every later append passes straight through.
+struct HeldWriter {
+    entered: std::sync::Mutex<std::sync::mpsc::Sender<()>>,
+    release: std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+}
+
+impl WriteFault for HeldWriter {
+    fn before_write(&self, _stream: &str, _bytes: &[u8]) -> std::io::Result<()> {
+        let _ = self.entered.lock().unwrap().send(());
+        let _ = self.release.lock().unwrap().recv();
+        Ok(())
+    }
+}
+
+/// When drop-oldest shed a plan record, the shutdown flush re-records the
+/// working set: with the writer held and a two-record queue, the second
+/// job's plan record is shed by the third job's records, and the restart
+/// still serves every job from the recovered cache.
+#[test]
+fn a_shutdown_after_a_shed_plan_record_re_records_the_plan() {
+    let dir = scratch_dir("shed-plan");
+    let jobs: Vec<JobRequest> = (0..3)
+        .map(|seed| arbitrary_request(&mut StdRng::seed_from_u64(9300 + seed), "shed"))
+        .collect();
+    let (entered_tx, entered) = std::sync::mpsc::channel();
+    let (release, release_rx) = std::sync::mpsc::channel::<()>();
+    let options = StoreOptions {
+        queue_capacity: 2,
+        write_fault: Some(Arc::new(HeldWriter {
+            entered: std::sync::Mutex::new(entered_tx),
+            release: std::sync::Mutex::new(release_rx),
+        })),
+        ..StoreOptions::default()
+    };
+    let mut before = Vec::new();
+    {
+        let service = TuningService::recover_with(service_config(), &dir, options).unwrap();
+        // The first job's first record takes the writer into its held append.
+        before.push(service.tune(jobs[0].clone()).unwrap().plan);
+        entered.recv().unwrap();
+        // Six more records into a two-record queue: at least four are shed,
+        // the second job's plan among them.
+        for job in &jobs[1..] {
+            before.push(service.tune(job.clone()).unwrap().plan);
+        }
+        assert!(service.store_stats().unwrap().dropped >= 4);
+        drop(release);
+        service.shutdown();
+    }
+    let service = TuningService::recover(service_config(), &dir).unwrap();
+    for (i, (job, expected)) in jobs.iter().zip(&before).enumerate() {
+        let served = service.tune(job.clone()).unwrap();
+        assert_eq!(served.source, PlanSource::CacheHit, "job {i}");
+        assert_plans_bit_identical(&served.plan, expected, &format!("job {i}"));
+    }
     service.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -4,9 +4,9 @@
 //!    small mixed workload (an RA budget ladder, a heterogeneous HA job, a
 //!    homogeneous EA job, and exact repeats), recording the exact serialized
 //!    bytes of every served plan.
-//! 2. Stop the process ("kill"): the working set is flushed, then a torn
-//!    half-record is appended to the journal the way a crash mid-write would
-//!    leave it.
+//! 2. Stop the process ("kill"): the write-behind queue is drained, then a
+//!    torn half-record is appended to the journal the way a crash mid-write
+//!    would leave it.
 //! 3. `TuningService::recover` the directory and re-serve the same warm set.
 //!
 //! The smoke **fails** (non-zero exit) if any re-served plan differs from
@@ -119,7 +119,7 @@ fn main() {
         "pre-restart  metrics: {} cold, {} family, {} cache",
         pre.cold_solves, pre.family_hits, pre.cache_hits
     );
-    service.shutdown(); // planned stop: flushes the working set
+    service.shutdown(); // planned stop: drains the write-behind queue
 
     // ---- "Kill": leave a torn half-record, as a crash mid-write would. ----
     let journal = dir.join("journal.log");

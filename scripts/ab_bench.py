@@ -6,9 +6,13 @@ Exports two revisions of the repository — the parent (``--base``, default
 plus untracked, non-ignored files) — into ``.bench_build/base`` and
 ``.bench_build/head``. The two paths have equal length, so nothing that
 depends on the length of a build path (embedded panic locations, symbol
-tables, the binary's size) differs between the sides. Each export keeps its
-``perfbench/target`` across invocations, so a re-run rebuilds only what
-changed.
+tables, the binary's size) differs between the sides. Every run empties
+both exports, build caches included, and stamps each file it writes with
+the export time, so each side is built from its own bytes: cargo trusts a
+path crate whose sources are older than its build, and ``git archive``
+dates each file at its commit, so a kept cache could pass a build of other
+bytes off as the revision's. A kept cache saved no time either: every
+dependency is a path crate, and stamping rebuilds them all.
 
 Both sides are built with BENCHMARK.json's ``command`` (``run`` swapped for
 ``build``), then each workload runs ``--pairs`` pairs: pair ``i`` uses seed
@@ -28,9 +32,11 @@ the pairs the change won, and for the end-to-end metrics:
 It exits non-zero if any run fails (a non-zero exit, or ``correct`` false in
 the run's result line), and ``2`` if any end-to-end metric is ``worse``.
 
-``--self-test`` checks the statistics and verdicts on a fixed table, and
-that BENCHMARK.json gives every end-to-end metric a direction and a bound.
-It builds and runs nothing and writes nothing.
+``--self-test`` checks the statistics and verdicts on a fixed table, that
+BENCHMARK.json gives every end-to-end metric a direction and a bound, and
+that an export of ``HEAD`` and of the working tree stamps every file with
+the export time. It builds and runs nothing; it writes only those two
+exports, to a temporary directory it removes.
 
 Usage:
   ab_bench.py [--base REV] [--change REV] [--workloads a,b] [--pairs N]
@@ -45,6 +51,8 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
+import time
 
 BUILD_DIR = ".bench_build"
 SIDES = ("base", "head")  # equal length on purpose: see the module doc
@@ -121,28 +129,12 @@ def git(root, *args):
     ).stdout
 
 
-def clear_export(path):
-    """Empties an export, keeping its perfbench build cache."""
-    os.makedirs(path, exist_ok=True)
-    for entry in os.listdir(path):
-        full = os.path.join(path, entry)
-        if entry == "perfbench":
-            for inner in os.listdir(full):
-                if inner != "target":
-                    inner_full = os.path.join(full, inner)
-                    if os.path.isdir(inner_full) and not os.path.islink(inner_full):
-                        shutil.rmtree(inner_full)
-                    else:
-                        os.remove(inner_full)
-        elif os.path.isdir(full) and not os.path.islink(full):
-            shutil.rmtree(full)
-        else:
-            os.remove(full)
-
-
 def export(root, rev, dest):
-    """Writes revision ``rev`` (or the working tree for ``None``) to ``dest``."""
-    clear_export(dest)
+    """Writes revision ``rev`` (or the working tree for ``None``) to an
+    emptied ``dest``, every file stamped with the export time (see the
+    module doc)."""
+    shutil.rmtree(dest, ignore_errors=True)
+    os.makedirs(dest)
     if rev is None:
         listed = git(root, "ls-files", "-z", "--cached", "--others", "--exclude-standard")
         for name in filter(None, listed.split("\0")):
@@ -151,12 +143,12 @@ def export(root, rev, dest):
                 continue  # deleted in the working tree
             target = os.path.join(dest, name)
             os.makedirs(os.path.dirname(target), exist_ok=True)
-            shutil.copy2(source, target)
+            shutil.copy(source, target)
     else:
         archive = subprocess.run(
             ["git", "archive", "--format=tar", rev], cwd=root, check=True, capture_output=True
         ).stdout
-        subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+        subprocess.run(["tar", "-x", "-m", "-C", dest], input=archive, check=True)
 
 
 def build_command(command):
@@ -270,6 +262,17 @@ def self_test(root):
     assert compare(through, wide, "higher", 0.2)["verdict"] == "spread"
     # Metrics without a bound (per-layer) get no verdict.
     assert compare(base, head, "lower")["verdict"] is None
+    # Exports carry fresh mtimes, so cargo never trusts a build of other
+    # bytes (one second of slack for the file system's timestamp grain).
+    with tempfile.TemporaryDirectory() as scratch:
+        for rev in ("HEAD", None):
+            dest = os.path.join(scratch, rev or "tree")
+            started = time.time() - 1
+            export(root, rev, dest)
+            stale = [os.path.join(top, name)
+                     for top, _, names in os.walk(dest) for name in names
+                     if os.path.getmtime(os.path.join(top, name)) < started]
+            assert not stale, f"{rev or 'working tree'}: kept old mtimes: {stale[:3]}"
     print("ab_bench self-test: ok")
     return 0
 
